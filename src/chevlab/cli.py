@@ -27,7 +27,7 @@ from .factorize import (
 )
 from .reps import get_representation, verify_steinberg
 from .rings import Ideal, ParseError, Ring, RingError, parse_ideal, parse_ring
-from .roots import MainLemmaCase, get_system
+from .roots import MainLemmaCase, RootSystemError, get_system
 from .subgroups import (
     DEFAULT_CANDIDATE_BOUND,
     DEFAULT_ELEMENT_BOUND,
@@ -350,7 +350,10 @@ def validate_task(command: str, params: dict) -> None:
     if "type" in params:
         _require_system(params["type"])
     if "case" in params:
-        MainLemmaCase.from_string(params["case"])
+        try:
+            MainLemmaCase.from_string(params["case"])
+        except RootSystemError as exc:
+            raise TaskError(f"invalid parameter case={params['case']!r}: {exc}") from exc
     if "ring" in params and params["ring"]:
         ring = parse_ring(params["ring"])
         for key in ("ideal", "ideal_i", "ideal_j"):

@@ -7,6 +7,14 @@ reports say so.  Elements are canonical residue matrices; membership works
 through packed byte keys, products through batched numpy arithmetic, and
 closures through breadth-first search over a minimal generating subset, so
 verdicts are deterministic and independent of chunk sizes.
+
+Principal congruence subgroups G(Z/n, (d)) are built prime by prime along
+the filtration G(p^m) > G(p^(m+1)): the base layer is {1} mod p^a, or G(F_p)
+swept from the p^(dim^2) matrices mod p when p does not divide d, and each
+element of layer m lifts to g (1 + p^m Z) with Z running over the solutions
+mod p of the group equations linearised at 1.  The primes are joined by the
+Chinese remainder theorem.  The full sweep over 1 + dM survives only as
+``_sweep_congruence``, the base-layer step and the tests' oracle.
 """
 from __future__ import annotations
 
@@ -348,8 +356,11 @@ def enumerate_congruence_subgroup(
     ideal: Ideal,
     bound: int = DEFAULT_CANDIDATE_BOUND,
 ) -> EnumeratedSubgroup:
-    """All matrices congruent to 1 mod the ideal satisfying the group
-    equations, by direct candidate enumeration and filtering."""
+    """The principal congruence subgroup G(R, I): all matrices congruent to
+    1 mod the ideal that satisfy the group equations.  Built by lifting along
+    the p-adic filtration of each prime power of the modulus (see the module
+    docstring), refused when the (n/d)^(dim^2) matrices 1 + dM exceed the
+    bound, and audited for closure before it is cached."""
     cache_key = (rep.name, ring, ideal)
     cached = _CONGRUENCE_CACHE.get(cache_key)
     if cached is not None:
@@ -380,32 +391,172 @@ def _enumerate_congruence_uncached(
             f"congruence enumeration needs {count} candidates (> {bound})", 0
         )
     sub = EnumeratedSubgroup(rep, ring, [])
-    ident = np.eye(dim, dtype=np.int64)
-    weights = radix ** np.arange(dim * dim, dtype=np.int64)
-    for start in range(0, count, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
-        digits = (idx[:, None] // weights[None, :]) % radix
-        cand = (ident[None] + d * digits.reshape(-1, dim, dim)) % n
-        keep = _group_equation_mask(rep, cand.astype(np.int32), n)
-        if keep.any():
-            sub._add_batch(cand[keep], bound)
-    # the candidate sweep is exhaustive over 1 + d*M, so the set is the full
-    # kernel-of-reduction intersected with the group equations; audit with
-    # the level generators plus sampled internal products
+    sub._add_batch(_lift_congruence(rep, n, d), bound)
+    # every lift of every layer element is listed exactly once, so the set is
+    # the full kernel of reduction mod d; audit with the level generators
+    # plus sampled internal products
     probe = _word_matrices(elementary_level_words(rep.system.type_tag, ideal), rep, ring)
     if not sub.audit_direct(probe):
         raise EnumerationError("congruence set is not closed (bad filter?)")
     return sub
 
 
-def _group_equation_mask(rep: Representation, cand: np.ndarray, n: int) -> np.ndarray:
+def _lift_congruence(rep: Representation, n: int, d: int) -> np.ndarray:
+    """G(Z/n, (d)) for d | n, d != n, as canonical residue matrices sorted by
+    the mixed-radix index of ((g - 1) mod n)/d, the order of the sweep."""
+    dim = rep.block_dims[0]
+    if dim * (n - 1) ** 2 >= 1 << 63:
+        raise EnumerationError(
+            f"Z/{n} is too large for int64 products of {dim}x{dim} matrices"
+        )
+    ident = np.eye(dim, dtype=np.int64)
+    stack, modulus = ident[None], 1
+    for p, k in _prime_powers(n):
+        a = 0
+        while a < k and d % p ** (a + 1) == 0:
+            a += 1
+        if a:
+            layer, level = ident[None], a
+        else:
+            layer, level = _sweep_congruence(rep, p, 1), 1
+        if level < k:
+            solver = _solve_mod_p(_linearised_equations(rep, p), p)
+        for m in range(level, k):
+            layer = _lift_layer(rep, layer, p, m, solver)
+        # Chinese remainder: x = s mod modulus, x = t mod p^k
+        q, joint = p ** k, modulus * p ** k
+        e_old = q * pow(q, -1, modulus) % joint
+        e_new = modulus * pow(modulus, -1, q) % joint
+        stack = (
+            (stack[:, None] * e_old) % joint + (layer[None, :] * e_new) % joint
+        ).reshape(-1, dim, dim) % joint
+        modulus = joint
+    digits = (((stack - ident) % n) // d).reshape(len(stack), -1)
+    return stack[np.lexsort(digits.T)]
+
+
+def _sweep_congruence(rep: Representation, n: int, d: int) -> np.ndarray:
+    """Every 1 + d*M mod n satisfying the group equations, in the order of
+    the mixed-radix index of M: (n/d)^(dim^2) candidates.  Production calls
+    it only for the base layer G(F_p); the tests use it as the oracle."""
+    dim = rep.block_dims[0]
+    radix = n // d
+    count = radix ** (dim * dim)
+    ident = np.eye(dim, dtype=np.int64)
+    weights = radix ** np.arange(dim * dim, dtype=np.int64)
+    kept = []
+    for start in range(0, count, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
+        digits = (idx[:, None] // weights[None, :]) % radix
+        cand = (ident[None] + d * digits.reshape(-1, dim, dim)) % n
+        kept.append(cand[_group_equation_mask(rep, cand, n)])
+    return np.concatenate(kept)
+
+
+def _lift_layer(rep: Representation, layer: np.ndarray, p: int, m: int, solver) -> np.ndarray:
+    """All lifts to G(Z/p^(m+1)) of the elements of G(Z/p^m) in the layer.
+
+    g (1 + p^m Z) satisfies the equations mod p^(m+1) exactly when
+    L(Z) = -C(g) mod p, with L the equations linearised at 1 and
+    C(g) = (f(g) - f(1))/p^m; an element whose constant is inconsistent has
+    no lift and is dropped."""
+    particular, consistency, basis = solver
+    dim = layer.shape[1]
+    step, q = p ** m, p ** (m + 1)
+    ident = np.eye(dim, dtype=np.int64)
+    defect = (_group_equations(rep, layer, q) - _group_equations(rep, ident[None], q)) % q
+    rhs = (-(defect // step)) % p
+    solvable = np.all((rhs @ consistency) % p == 0, axis=1)
+    layer = layer[solvable]
+    shift = (rhs[solvable] @ particular) % p
+    size = p ** len(basis)
+    weights = p ** np.arange(len(basis), dtype=np.int64)
+    total = len(layer) * size
+    lifts = [np.zeros((0, dim, dim), dtype=np.int64)]
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        g_idx, z_idx = np.divmod(idx, size)
+        coeffs = (z_idx[:, None] // weights[None, :]) % p
+        z = (shift[g_idx] + coeffs @ basis) % p
+        lifts.append(np.matmul(layer[g_idx], ident + step * z.reshape(-1, dim, dim)) % q)
+    return np.concatenate(lifts)
+
+
+def _linearised_equations(rep: Representation, p: int) -> np.ndarray:
+    """The matrix of the group equations linearised at 1, mod p: column i is
+    (f(1 + p E_i) - f(1))/p mod p, since f(1 + pZ) = f(1) + p L(Z) mod p^2
+    for a polynomial f (L is tr Z for A2 and Z^T Omega + Omega Z for C2)."""
+    dim = rep.block_dims[0]
+    ident = np.eye(dim, dtype=np.int64)
+    units = np.eye(dim * dim, dtype=np.int64).reshape(-1, dim, dim)
+    q = p * p
+    diff = (_group_equations(rep, ident + p * units, q) - _group_equations(rep, ident[None], q)) % q
+    return ((diff // p) % p).T
+
+
+def _solve_mod_p(lin: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-reduce the r x c matrix over F_p.  Returns (P, Q, B): a row b with
+    b @ Q = 0 mod p is the right-hand side of a solvable system lin z = b,
+    b @ P is one solution, and the rows of B span the solutions of lin z = 0."""
+    r, c = lin.shape
+    rows = [[int(x) % p for x in row] + [int(i == j) for j in range(r)] for i, row in enumerate(lin)]
+    pivots: list[int] = []
+    for col in range(c):
+        top = len(pivots)
+        found = next((i for i in range(top, r) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[top], rows[found] = rows[found], rows[top]
+        inv = pow(rows[top][col], -1, p)
+        rows[top] = [x * inv % p for x in rows[top]]
+        for i in range(r):
+            if i != top and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[top])]
+        pivots.append(col)
+    rank = len(pivots)
+    reduced = np.array([row[:c] for row in rows], dtype=np.int64).reshape(r, c)
+    transform = np.array([row[c:] for row in rows], dtype=np.int64).reshape(r, r)
+    particular = np.zeros((r, c), dtype=np.int64)
+    particular[:, pivots] = transform[:rank].T
+    free = [col for col in range(c) if col not in pivots]
+    basis = np.zeros((len(free), c), dtype=np.int64)
+    for i, col in enumerate(free):
+        basis[i, col] = 1
+        basis[i, pivots] = (-reduced[:rank, col]) % p
+    return particular, transform[rank:].T, basis
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, k) for each p^k exactly dividing n, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out.append((p, k))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _group_equations(rep: Representation, stack: np.ndarray, n: int) -> np.ndarray:
+    """The defining equations of the group at each matrix, mod n, one row per
+    matrix: the determinant for A2, the entries of g^T Omega g for C2."""
     if rep.system.type_tag == "A2":
-        return _batch_det(cand, n) == 1 % n
-    form = np.array(rep.symplectic_form, dtype=cand.dtype)
-    # entries are reduced mod n, so the products stay far from overflowing
-    # even in 32-bit during the enumeration sweep
-    lhs = np.matmul(np.matmul(cand.transpose(0, 2, 1), form), cand) % n
-    return np.all(lhs == form % n, axis=(1, 2))
+        return _batch_det(stack, n)[:, None]
+    form = np.array(rep.symplectic_form, dtype=np.int64)
+    lhs = np.matmul(np.matmul(stack.transpose(0, 2, 1), form) % n, stack) % n
+    return lhs.reshape(len(stack), -1)
+
+
+def _group_equation_mask(rep: Representation, cand: np.ndarray, n: int) -> np.ndarray:
+    ident = np.eye(cand.shape[1], dtype=np.int64)
+    return np.all(_group_equations(rep, cand, n) == _group_equations(rep, ident[None], n), axis=1)
 
 
 def reduced_elementary_group(rep: Representation, ring: Ring, bound: int) -> EnumeratedSubgroup:
@@ -720,8 +871,6 @@ def _commutator_with_set(
                 if missing.any():
                     stable = False
                     sub.close_over(images[missing], bound)
-        if not stable:
-            continue
     if not sub.audit_closure():
         raise EnumerationError("closure audit failed")
     return sub

@@ -44,6 +44,11 @@ def test_validate_task_rejects_g2_bruteforce():
         )
 
 
+def test_unknown_case_is_a_usage_error(capsys):
+    assert main(["verify", "main-lemma", "--case", "G2", "--symbolic"]) == 2
+    assert "case='G2'" in capsys.readouterr().err
+
+
 def test_steinberg_cli(tmp_path):
     out = tmp_path / "r.json"
     code = main(["verify", "steinberg", "--type", "A2", "--report", str(out)])

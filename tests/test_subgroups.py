@@ -6,7 +6,10 @@ from chevlab.reps import congruence_level_test, get_representation
 from chevlab.rings import Ideal, Ring
 from chevlab.subgroups import (
     BoundExceeded,
+    EnumerationError,
     UnsupportedType,
+    _sweep_congruence,
+    _word_matrices,
     closure,
     commutator_subgroup,
     elementary_level_words,
@@ -59,6 +62,62 @@ def test_congruence_enumeration_against_small_filters():
     form = np.array(C2.symplectic_form, dtype=np.int64)
     lhs = np.einsum("nji,jk,nkl->nil", mats, form, mats) % 4
     assert np.all(lhs == form % 4)
+
+
+def _oracle_cases():
+    # every level small enough for the full sweep to stay cheap
+    for rep in (A2, C2):
+        dim = rep.block_dims[0]
+        for n in [*range(2, 13), 16, 25, 27]:
+            for d in range(1, n + 1):
+                if n % d == 0 and (n // d) ** (dim * dim) <= 2**18:
+                    yield pytest.param(rep, n, d, id=f"{rep.name}-Z{n}-({d})")
+
+
+@pytest.mark.parametrize("rep,n,d", list(_oracle_cases()))
+def test_lifted_congruence_matches_sweep(rep, n, d):
+    ring = Ring.mod(n)
+    lifted = enumerate_congruence_subgroup(rep, ring, Ideal.of(ring, [d]))
+    assert np.array_equal(lifted.stack, _sweep_congruence(rep, n, d))
+
+
+@pytest.mark.parametrize(
+    "rep,p,k,a",
+    [
+        pytest.param(rep, p, k, a, id=f"{rep.name}-Z{p**k}-({p**a})")
+        for rep, p, k, a in [
+            (A2, 2, 2, 1), (A2, 2, 3, 1), (A2, 2, 4, 2), (A2, 3, 3, 2),
+            (C2, 2, 3, 2), (C2, 2, 5, 4), (C2, 3, 2, 1), (C2, 3, 3, 2),
+        ]
+    ],
+)
+def test_congruence_kernel_closed_form(rep, p, k, a):
+    # |G(Z/p^k, (p^a))| = p^((k-a) dim G) for a >= 1: each filtration layer
+    # is the Lie algebra mod p (dim sl3 = 8, dim sp4 = 10)
+    dim_g = {"A2": 8, "C2": 10}[rep.name]
+    ring = Ring.mod(p**k)
+    kernel = enumerate_congruence_subgroup(rep, ring, Ideal.of(ring, [p**a]))
+    assert kernel.cardinality == p ** ((k - a) * dim_g)
+
+
+def test_congruence_kernel_composite_modulus_past_int32():
+    # 100000 = 2^5 5^5 and (50000) = (2^4 5^5): the kernel is G(Z/32, (16))
+    ring = Ring.mod(100000)
+    ideal = Ideal.of(ring, [50000])
+    kernel = enumerate_congruence_subgroup(C2, ring, ideal)
+    assert kernel.cardinality == 2**10
+    assert kernel.audit_direct(_word_matrices(elementary_level_words("C2", ideal), C2, ring))
+
+
+def test_congruence_kernel_refused_past_int64_products():
+    # 4 (n - 1)^2 < 2^63 exactly up to n = 1518500250; each kernel here is
+    # Sp4(F_2) placed at the prime 2
+    ring = Ring.mod(1518500250)
+    kernel = enumerate_congruence_subgroup(C2, ring, Ideal.of(ring, [759250125]))
+    assert kernel.cardinality == 720
+    ring = Ring.mod(1518500252)
+    with pytest.raises(EnumerationError, match="Z/1518500252"):
+        enumerate_congruence_subgroup(C2, ring, Ideal.of(ring, [759250126]))
 
 
 def test_normal_closure_plain_when_no_conjugators():
