@@ -10,8 +10,6 @@ from .rings import (
     UnsupportedIdealShape,
     enumerate_elements,
     has_residue_field_f2,
-    ideal_membership,
-    ideal_product,
     parse_element,
     parse_ideal,
     parse_ring,
@@ -21,7 +19,6 @@ from .roots import MainLemmaCase, Root, RootSystem, get_system
 from .reps import (
     GroupElement,
     Representation,
-    central_mod_test,
     congruence_level_test,
     get_representation,
     reduce_mod,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -26,7 +25,7 @@ from .factorize import (
     unit_decompose,
 )
 from .reps import get_representation, verify_steinberg
-from .rings import Ideal, ParseError, Ring, RingError, parse_ideal, parse_ring
+from .rings import Ideal, ParseError, Ring, RingError, enumerate_elements, parse_ideal, parse_ring
 from .roots import MainLemmaCase, RootSystemError, get_system
 from .subgroups import (
     DEFAULT_CANDIDATE_BOUND,
@@ -100,17 +99,25 @@ def task_verify_chevalley(params: dict) -> tuple[dict, bool]:
     )
 
 
+def _symbolic_main_lemma(case: MainLemmaCase) -> tuple[CertifiedFactorization, bool]:
+    """The case's word over Z[xi, zeta, eta] with ideals (xi), (zeta), verified."""
+    ring = Ring.polynomial(Ring.integers(), ("xi", "zeta", "eta"))
+    xi, zeta, eta = ring.vars()
+    ideal_i = Ideal.of(ring, [xi])
+    ideal_j = Ideal.of(ring, [zeta])
+    fact = main_lemma_word(case, xi, zeta, eta, ideal_i, ideal_j)
+    return fact, fact.verify(get_representation(case.system_tag), ring, ideal_i, ideal_j)
+
+
 def task_verify_main_lemma(params: dict) -> tuple[dict, bool]:
     case = MainLemmaCase.from_string(params["case"])
-    rep = get_representation(case.system_tag)
     if params.get("ring"):
+        rep = get_representation(case.system_tag)
         ring = _finite_ring(params["ring"])
         ideal_i = parse_ideal(ring, str(params.get("ideal_i", params.get("ideal", "1"))))
         ideal_j = parse_ideal(ring, str(params.get("ideal_j", params.get("ideal", "1"))))
         checked = 0
         failures = []
-        from .rings import enumerate_elements
-
         for xi in ideal_i.element_values():
             for zeta in ideal_j.element_values():
                 for eta in enumerate_elements(ring):
@@ -129,12 +136,7 @@ def task_verify_main_lemma(params: dict) -> tuple[dict, bool]:
             "condition_star": condition_star(case.system_tag, ring).to_json(),
         }
         return result, not failures
-    ring = Ring.polynomial(Ring.integers(), ("xi", "zeta", "eta"))
-    xi, zeta, eta = ring.vars()
-    ideal_i = Ideal.of(ring, [xi])
-    ideal_j = Ideal.of(ring, [zeta])
-    fact = main_lemma_word(case, xi, zeta, eta, ideal_i, ideal_j)
-    ok = fact.verify(rep, ring, ideal_i, ideal_j)
+    fact, ok = _symbolic_main_lemma(case)
     return (
         {
             "case": case.value,
@@ -146,59 +148,51 @@ def task_verify_main_lemma(params: dict) -> tuple[dict, bool]:
     )
 
 
+def _long_root_words(tag: str, ring: Ring, ideal: Ideal, values) -> list[tuple]:
+    """(root, xi, word, verdict) for every short root and every xi in values:
+    the long-root word of x_root(xi) and whether it evaluates to it."""
+    rep = get_representation(tag)
+    rows = []
+    for beta in get_system(tag).short_roots:
+        for xi in values:
+            word = long_root_decomposition(beta, xi, ideal, ring)
+            rows.append((beta, xi, word, evaluate(word, rep, ring) == rep.x(beta, xi)))
+    return rows
+
+
+def _finite_long_root_words(tag: str, params: dict) -> tuple[Ring, Ideal, list[tuple]]:
+    ring = _finite_ring(params["ring"])
+    ideal = parse_ideal(ring, str(params["ideal"]))
+    return ring, ideal, _long_root_words(tag, ring, ideal, ideal.element_values())
+
+
 def task_verify_long_root(params: dict) -> tuple[dict, bool]:
     tag = _require_system(params["type"])
-    system = get_system(tag)
-    rep = get_representation(tag)
     if tag == "A2":
         raise TaskError("A2 has no short roots; nothing to decompose")
     if params.get("ring"):
-        ring = _finite_ring(params["ring"])
-        ideal = parse_ideal(ring, str(params["ideal"]))
-        failures = []
-        checked = 0
-        max_factors = 0
-        for beta in system.short_roots:
-            for xi in ideal.element_values():
-                word = long_root_decomposition(beta, xi, ideal, ring)
-                checked += 1
-                max_factors = max(max_factors, long_word_factor_count(word))
-                if evaluate(word, rep, ring) != rep.x(beta, xi):
-                    failures.append([beta.name, str(xi)])
+        ring, ideal, rows = _finite_long_root_words(tag, params)
+        failures = [[beta.name, str(xi)] for beta, xi, _, good in rows if not good]
         result = {
-            "system": tag,
             "mode": "finite",
             "ring": str(ring),
             "ideal": str(ideal),
-            "decompositions_checked": checked,
-            "max_factor_count": max_factors,
-            "failures": failures,
+            "decompositions_checked": len(rows),
         }
         if tag == "G2":
             result["unit_decomposition"] = [
                 [str(t), str(r)] for t, r in unit_decompose(ring)
             ]
-        return result, not failures
-    ring = Ring.polynomial(Ring.integers(), ("xi",))
-    (xi,) = ring.vars()
-    ideal = Ideal.of(ring, [xi])
-    failures = []
-    max_factors = 0
-    for beta in system.short_roots:
-        word = long_root_decomposition(beta, xi, ideal, ring)
-        max_factors = max(max_factors, long_word_factor_count(word))
-        if evaluate(word, rep, ring) != rep.x(beta, xi):
-            failures.append(beta.name)
-    return (
-        {
-            "system": tag,
-            "mode": "symbolic",
-            "short_roots_checked": len(system.short_roots),
-            "max_factor_count": max_factors,
-            "failures": failures,
-        },
-        not failures,
-    )
+    else:
+        ring = Ring.polynomial(Ring.integers(), ("xi",))
+        (xi,) = ring.vars()
+        rows = _long_root_words(tag, ring, Ideal.of(ring, [xi]), [xi])
+        failures = [beta.name for beta, _, _, good in rows if not good]
+        result = {"mode": "symbolic", "short_roots_checked": len(rows)}
+    result["system"] = tag
+    result["max_factor_count"] = max(long_word_factor_count(w) for _, _, w, _ in rows)
+    result["failures"] = failures
+    return result, not failures
 
 
 def task_verify_levi(params: dict) -> tuple[dict, bool]:
@@ -265,8 +259,6 @@ def task_dump_generators(params: dict) -> tuple[dict, bool]:
     tag = _require_system(params["type"])
     ring = _finite_ring(params["ring"])
     rep = get_representation(tag)
-    from .rings import enumerate_elements
-
     out = []
     for root in rep.system.roots:
         for t in enumerate_elements(ring):
@@ -283,13 +275,7 @@ def task_dump_generators(params: dict) -> tuple[dict, bool]:
 
 def task_factorize_main_lemma(params: dict) -> tuple[dict, bool]:
     case = MainLemmaCase.from_string(params["case"])
-    rep = get_representation(case.system_tag)
-    ring = Ring.polynomial(Ring.integers(), ("xi", "zeta", "eta"))
-    xi, zeta, eta = ring.vars()
-    ideal_i = Ideal.of(ring, [xi])
-    ideal_j = Ideal.of(ring, [zeta])
-    fact = main_lemma_word(case, xi, zeta, eta, ideal_i, ideal_j)
-    ok = fact.verify(rep, ring, ideal_i, ideal_j)
+    fact, ok = _symbolic_main_lemma(case)
     return (
         {
             "case": case.value,
@@ -306,26 +292,18 @@ def task_factorize_main_lemma(params: dict) -> tuple[dict, bool]:
 
 def task_factorize_long_root(params: dict) -> tuple[dict, bool]:
     tag = _require_system(params["type"])
-    system = get_system(tag)
-    rep = get_representation(tag)
-    ring = _finite_ring(params["ring"])
-    ideal = parse_ideal(ring, str(params["ideal"]))
-    out = []
-    ok = True
-    for beta in system.short_roots:
-        for xi in ideal.element_values():
-            word = long_root_decomposition(beta, xi, ideal, ring)
-            good = evaluate(word, rep, ring) == rep.x(beta, xi)
-            ok = ok and good
-            out.append(
-                {
-                    "root": beta.name,
-                    "xi": str(xi),
-                    "word": word_to_sexpr(word),
-                    "factors": long_word_factor_count(word),
-                    "verdict": good,
-                }
-            )
+    ring, ideal, rows = _finite_long_root_words(tag, params)
+    out = [
+        {
+            "root": beta.name,
+            "xi": str(xi),
+            "word": word_to_sexpr(word),
+            "factors": long_word_factor_count(word),
+            "verdict": good,
+        }
+        for beta, xi, word, good in rows
+    ]
+    ok = all(good for _, _, _, good in rows)
     return {"system": tag, "ring": str(ring), "ideal": str(ideal), "words": out}, ok
 
 
@@ -389,10 +367,6 @@ def run_campaign(tasks: list[dict], seed: int, with_timings: bool) -> dict:
             else:
                 status = "ok" if ok else "false"
                 any_false = any_false or not ok
-        except (TaskError, RingError, ParseError) as exc:
-            result = {"error": f"{type(exc).__name__}: {exc}"}
-            status = "error"
-            any_error = True
         except Exception as exc:  # noqa: BLE001 - reported, exit code 2
             result = {"error": f"{type(exc).__name__}: {exc}"}
             status = "error"
@@ -409,7 +383,6 @@ def run_campaign(tasks: list[dict], seed: int, with_timings: bool) -> dict:
     report = {
         "version": "0.1.0",
         "seed": seed,
-        "threads": os.environ.get("CHEVLAB_THREADS", "1"),
         "tasks": results,
     }
     report["input_hash"] = hashlib.sha256(

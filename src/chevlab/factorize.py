@@ -620,9 +620,14 @@ def levi_commutator_check(
     radical = parabolic.U_minus_roots if minus_side else parabolic.U_roots
     alpha_r = parabolic.levi_roots[0]
     ideal_ij = ideal_i.product(ideal_j)
-    i_vals = ideal_i.element_values()
-    j_vals = ideal_j.element_values()
     n = ring.modulus
+    (d_i,), (d_j,) = ideal_i.gens, ideal_j.gens
+
+    # the k-th ideal element d*k, drawn without listing all n/d of them; the
+    # draw consumes the random stream exactly as rng.choice on that list
+    def draw(rng, d):
+        return ring.element(d * rng.randrange(n // d))
+
     violations = []
     for idx in range(samples):
         rng = random.Random(seed * 1_000_003 + idx)
@@ -630,12 +635,12 @@ def levi_commutator_check(
         for _ in range(rng.randint(0, 4)):
             root = alpha_r if rng.random() < 0.5 else -alpha_r
             l_letters.extend(
-                z_word(root, rng.choice(i_vals), ring.element(rng.randrange(n))).letters
+                z_word(root, draw(rng, d_i), ring.element(rng.randrange(n))).letters
             )
         u_letters = []
         for _ in range(rng.randint(0, 4)):
             u_letters.extend(
-                x_word(rng.choice(radical), rng.choice(j_vals)).letters
+                x_word(rng.choice(radical), draw(rng, d_j)).letters
             )
         l_w, u_w = Word(tuple(l_letters)), Word(tuple(u_letters))
         mat = evaluate(commutator(l_w, u_w), rep, ring)

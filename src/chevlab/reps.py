@@ -34,8 +34,6 @@ from .rings import (
     MixedRings,
     Ring,
     RingElement,
-    UnrepresentableQuotient,
-    enumerate_elements,
     ring_quotient,
 )
 from .roots import Root, RootSystem, get_system
@@ -479,24 +477,6 @@ def congruence_level_test(g: GroupElement, ideal: Ideal) -> bool:
                     v = v - one
                 if not ideal.contains(v):
                     return False
-    return True
-
-
-def central_mod_test(g: GroupElement, ideal: Ideal) -> bool:
-    """Whether g reduces into the centralizer of all elementary generators.
-
-    For the finite quotients used here that centralizer is the centre of
-    the reduced group (asserted separately by brute force in the tests).
-    """
-    reduced = reduce_mod(g, ideal)
-    ring = reduced.ring
-    if not ring.is_finite:
-        raise UnrepresentableQuotient("central test needs a finite quotient")
-    for root in g.rep.system.roots:
-        for t in enumerate_elements(ring):
-            xg = g.rep.x(root, t)
-            if xg * reduced != reduced * xg:
-                return False
     return True
 
 

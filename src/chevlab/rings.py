@@ -465,14 +465,6 @@ def _normalize_terms(ring: Ring, terms: list) -> tuple:
     return tuple(items)
 
 
-def ideal_membership(x: RingElement, ideal: Ideal) -> bool:
-    return ideal.contains(x)
-
-
-def ideal_product(a: Ideal, b: Ideal) -> Ideal:
-    return a.product(b)
-
-
 # ---------------------------------------------------------------------------
 # ring predicates and enumeration
 

@@ -89,9 +89,12 @@ def test_reports_byte_identical_for_fixed_seed(tmp_path):
             },
         },
     ]
-    a = json.dumps(run_campaign(tasks, seed=5, with_timings=False), sort_keys=True)
+    report = run_campaign(tasks, seed=5, with_timings=False)
+    a = json.dumps(report, sort_keys=True)
     b = json.dumps(run_campaign(tasks, seed=5, with_timings=False), sort_keys=True)
     assert a == b
+    # the report names no setting that does not exist
+    assert "threads" not in report
 
 
 def test_bound_exceeded_is_an_error_result():

@@ -203,3 +203,17 @@ def test_levi_check_c2_z27_sample():
     p = ParabolicData.for_simple(get_system("C2"), 1)
     rep = levi_commutator_check(p, ideal, ideal, ring, 100, seed=2)
     assert rep.passed
+
+
+def test_levi_check_never_lists_ideal_elements(monkeypatch):
+    # samples are drawn as d*k, so a huge ring costs no more than a small one
+    def refuse(self):
+        raise AssertionError("element_values must not be called")
+
+    monkeypatch.setattr(Ideal, "element_values", refuse)
+    ring = Ring.mod(1_000_000_007)
+    unit = Ideal.of(ring, [1])
+    p = ParabolicData.for_simple(get_system("A2"), 1)
+    rep = levi_commutator_check(p, unit, unit, ring, 3, seed=0)
+    assert rep.samples == 3
+    assert rep.passed

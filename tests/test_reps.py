@@ -5,7 +5,6 @@ import pytest
 
 from chevlab.reps import (
     PeelError,
-    central_mod_test,
     congruence_level_test,
     get_representation,
     reduce_mod,
@@ -137,38 +136,42 @@ def test_congruence_level_subgroup_property():
         assert congruence_level_test(g * h, ideal)
 
 
+def _reduced_generators(rep, ring):
+    from chevlab.subgroups import _word_matrices
+
+    return _word_matrices(
+        [x_word(r, t) for r in rep.system.roots for t in enumerate_elements(ring)
+         if not t.is_zero], rep, ring)
+
+
 def test_central_mod():
+    from chevlab.subgroups import central_mask
+
     rep = get_representation("A2")
-    ideal = Ideal.of(Z8, [2])
+    gens = _reduced_generators(rep, Ring.mod(2))
     root = rep.system.root((1, 0))
-    # anything congruent to the identity is central mod I
-    assert central_mod_test(rep.x(root, Z8.element(2)), ideal)
-    assert not central_mod_test(rep.x(root, Z8.element(1)), ideal)
+    # anything congruent to the identity is central mod I = (2)
+    assert central_mask(rep.x(root, Z8.element(2)).np_single()[None], gens, 2).all()
+    assert not central_mask(rep.x(root, Z8.element(1)).np_single()[None], gens, 2).any()
 
 
 def test_centralizer_matches_center_bruteforce():
     # the centre of the reduced elementary group really is the centralizer
     # of the elementary generators: SL3(F2) trivial, Sp4(F3) = {+-1}
-    from chevlab.subgroups import brute_center, reduced_elementary_group, _word_matrices
+    from chevlab.subgroups import central_mask, reduced_elementary_group
 
     rep = get_representation("A2")
     ring = Ring.mod(2)
     grp = reduced_elementary_group(rep, ring, bound=10**6)
     assert grp.cardinality == 168
-    gens = _word_matrices(
-        [x_word(r, t) for r in rep.system.roots for t in enumerate_elements(ring)
-         if not t.is_zero], rep, ring)
-    center = brute_center(grp, gens)
+    center = grp.stack[central_mask(grp.stack, _reduced_generators(rep, ring), 2)]
     assert center.shape[0] == 1
 
     rep = get_representation("C2")
     ring = Ring.mod(3)
     grp = reduced_elementary_group(rep, ring, bound=10**6)
     assert grp.cardinality == 51840
-    gens = _word_matrices(
-        [x_word(r, t) for r in rep.system.roots for t in enumerate_elements(ring)
-         if not t.is_zero], rep, ring)
-    center = brute_center(grp, gens)
+    center = grp.stack[central_mask(grp.stack, _reduced_generators(rep, ring), 3)]
     assert center.shape[0] == 2
 
 

@@ -13,8 +13,6 @@ from chevlab.rings import (
     element_to_string,
     enumerate_elements,
     has_residue_field_f2,
-    ideal_membership,
-    ideal_product,
     parse_element,
     parse_ideal,
     parse_ring,
@@ -64,12 +62,12 @@ def test_mixed_rings_raises():
 
 
 def test_ideal_membership_examples():
-    assert ideal_membership(Z8.element(6), Ideal.of(Z8, [2]))
+    assert Ideal.of(Z8, [2]).contains(Z8.element(6))
     xi, zeta, eta = PZ.vars()
-    assert ideal_membership(xi * zeta * zeta, Ideal.of(PZ, [xi * zeta]))
-    assert not ideal_membership(Z27.element(3), Ideal.of(Z27, [9]))
-    assert not ideal_membership(xi, Ideal.of(PZ, [xi * zeta]))
-    assert ideal_membership(2 * xi, Ideal.of(PZ, [PZ.element(2), zeta]))
+    assert Ideal.of(PZ, [xi * zeta]).contains(xi * zeta * zeta)
+    assert not Ideal.of(Z27, [9]).contains(Z27.element(3))
+    assert not Ideal.of(PZ, [xi * zeta]).contains(xi)
+    assert Ideal.of(PZ, [PZ.element(2), zeta]).contains(2 * xi)
 
 
 def test_ideal_membership_against_linear_combination_oracle():
@@ -107,12 +105,12 @@ def test_ideal_shape_restriction():
 
 
 def test_ideal_product_examples():
-    assert ideal_product(Ideal.of(Z8, [2]), Ideal.of(Z8, [4])).is_zero
-    assert ideal_product(Ideal.of(Z27, [3]), Ideal.of(Z27, [3])).same_as(
+    assert Ideal.of(Z8, [2]).product(Ideal.of(Z8, [4])).is_zero
+    assert Ideal.of(Z27, [3]).product(Ideal.of(Z27, [3])).same_as(
         Ideal.of(Z27, [9])
     )
     xi, zeta, _ = PZ.vars()
-    assert ideal_product(Ideal.of(PZ, [xi]), Ideal.of(PZ, [zeta])).same_as(
+    assert Ideal.of(PZ, [xi]).product(Ideal.of(PZ, [zeta])).same_as(
         Ideal.of(PZ, [xi * zeta])
     )
 
@@ -121,11 +119,9 @@ def test_ideal_product_commutative_associative():
     ideals = [Ideal.of(Z27, [g]) for g in (3, 9, 27, 1)]
     for a in ideals:
         for b in ideals:
-            assert ideal_product(a, b).same_as(ideal_product(b, a))
+            assert a.product(b).same_as(b.product(a))
             for c in ideals:
-                assert ideal_product(ideal_product(a, b), c).same_as(
-                    ideal_product(a, ideal_product(b, c))
-                )
+                assert a.product(b).product(c).same_as(a.product(b.product(c)))
 
 
 def test_residue_field_f2():

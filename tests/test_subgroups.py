@@ -7,7 +7,10 @@ from chevlab.rings import Ideal, Ring
 from chevlab.subgroups import (
     BoundExceeded,
     EnumerationError,
+    EnumeratedSubgroup,
     UnsupportedType,
+    _CONJ_CHUNK,
+    _batch_inverse,
     _sweep_congruence,
     _word_matrices,
     closure,
@@ -184,6 +187,46 @@ def test_certificate_bridge_into_commutator_subgroup():
             continue
         arr = evaluate(item.word, A2, Z4).np_single()
         assert target.contains_array(arr % 4)
+
+
+def test_missing_conjugates_against_plain_conjugation():
+    # x_a(1) conjugated by all of SL3(Z/4), placed after a full batch of
+    # identities: the images outside <x_a(1)>, recomputed without batches or
+    # dedupe
+    root = A2.system.roots[0]
+    sub = closure([x_word(root, Z4.element(1))], A2, Z4)
+    g = sub.generator_stack()[:1]
+    k = enumerate_congruence_subgroup(A2, Z4, Ideal.of(Z4, [1])).stack
+    pad = np.repeat(np.eye(3, dtype=np.int64)[None], _CONJ_CHUNK, axis=0)
+    images = k @ g[0] % 4 @ _batch_inverse(k, 4) % 4
+    weights = 4 ** np.arange(9, dtype=np.int64)
+    expected = set((images[~sub.contains_batch(images)].reshape(-1, 9) @ weights).tolist())
+    outside = sub.missing_conjugates(np.concatenate([pad, k]), g)
+    codes = (outside.reshape(-1, 9) @ weights).tolist()
+    assert len(codes) == len(set(codes)) and set(codes) == expected
+    assert len(expected) > 0
+
+
+def test_commutator_with_enumerated_set_matches_all_pairs():
+    # oracle for [E(I), C] with C given as a stack: the subgroup generated by
+    # every commutator [h, k], h in H and k in K, with no conjugation step
+    ideal = Ideal.of(Z4, [2])
+    h_words = elementary_level_words("A2", ideal)
+    h = closure(h_words, A2, Z4)
+    k = enumerate_congruence_subgroup(A2, Z4, Ideal.of(Z4, [1]))
+    assert (h.cardinality, k.cardinality) == (64, 43008)
+    k_inv = _batch_inverse(k.stack, 4)
+    weights = 4 ** np.arange(9, dtype=np.int64)
+    codes = set()
+    for g, g_inv in zip(h.stack, _batch_inverse(h.stack, 4)):
+        comm = g @ k.stack % 4 @ g_inv % 4 @ k_inv % 4
+        codes.update(np.unique(comm.reshape(-1, 9) @ weights).tolist())
+    digits = np.array(sorted(codes))[:, None] // weights % 4
+    oracle = EnumeratedSubgroup(A2, Z4, [])
+    oracle.close_over(digits.reshape(-1, 3, 3), bound=10**6)
+    merged = commutator_subgroup(h_words, k.stack, A2, Z4)
+    assert merged.cardinality == oracle.cardinality == 256
+    assert merged.same_elements(oracle)
 
 
 def test_full_congruence_a2_z8():
