@@ -1,6 +1,7 @@
 """chevlab: exact-arithmetic lab for rank-2 elementary Chevalley groups."""
 
 from .rings import (
+    DegreeOverflow,
     Ideal,
     InfiniteRing,
     MixedRings,

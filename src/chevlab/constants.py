@@ -123,9 +123,10 @@ def _as_integer_multiple(coeff: RingElement, i: int, j: int) -> int | None:
     """coeff == n * xi^i * zeta^j exactly, returning n (0 allowed)."""
     if coeff.is_zero:
         return 0
-    if len(coeff.payload) != 1:
+    terms = coeff.terms
+    if len(terms) != 1:
         return None
-    exp, c = coeff.payload[0]
+    exp, c = terms[0]
     if exp != (i, j):
         return None
     return c

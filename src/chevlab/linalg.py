@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rings import Ring, RingElement
+from .rings import MixedRings, Ring, RingElement
 
 
 class ExactMatrix:
@@ -44,15 +44,21 @@ class ExactMatrix:
         return self.rows[i].get(j, self.ring.zero)
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        zero = self.ring.zero
+        if other.ring != self.ring:
+            raise MixedRings(f"{other.ring} vs {self.ring}")
+        sum_of_products = self.ring.sum_of_products
         out_rows = []
-        for i in range(self.dim):
-            acc: dict[int, RingElement] = {}
-            for k, a in self.rows[i].items():
+        for row in self.rows:
+            pairs: dict[int, list] = {}
+            for k, a in row.items():
                 for j, b in other.rows[k].items():
-                    prev = acc.get(j)
-                    acc[j] = a * b if prev is None else prev + a * b
-            out_rows.append({j: v for j, v in acc.items() if not v.is_zero})
+                    pairs.setdefault(j, []).append((a, b))
+            out = {}
+            for j, ab in pairs.items():
+                v = sum_of_products(ab)
+                if not v.is_zero:
+                    out[j] = v
+            out_rows.append(out)
         return ExactMatrix(self.ring, self.dim, tuple(out_rows))
 
     def __eq__(self, other) -> bool:

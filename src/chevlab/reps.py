@@ -39,6 +39,13 @@ from .rings import (
 from .roots import Root, RootSystem, get_system
 
 
+def int64_safe(n: int, dim: int) -> bool:
+    """Whether int64 holds every entry of a product of two dim x dim
+    matrices of residues mod n, which is at most dim (n - 1)^2.  Past that
+    the numpy backend computes with Python ints (dtype object)."""
+    return dim * (n - 1) ** 2 < 1 << 63
+
+
 class RepresentationError(Exception):
     pass
 
@@ -86,15 +93,16 @@ class Representation:
         power_blocks = self.powers[root]
         if ring.kind == "Zn":
             n = ring.modulus
+            dtype = np.int64 if int64_safe(n, max(self.block_dims)) else object
             c = coeff.payload
             blocks = []
             for b, d in enumerate(self.block_dims):
-                acc = np.eye(d, dtype=np.int64)
+                acc = np.eye(d, dtype=dtype)
                 ck = 1
                 for k, mats in enumerate(power_blocks, start=1):
                     ck = (ck * c) % n
                     if ck:
-                        acc = acc + ck * np.array(mats[b], dtype=np.int64)
+                        acc = acc + ck * np.array(mats[b], dtype=dtype)
                 blocks.append(acc % n)
             return GroupElement(self, ring, "np", tuple(blocks))
         blocks = []
@@ -144,13 +152,17 @@ class GroupElement:
 
     def key(self) -> bytes:
         if self._key is None:
-            if self.backend == "np":
+            n = self.ring.modulus
+            if self.backend == "exact":
+                raw = repr(tuple(b._key for b in self.blocks)).encode()
+            elif n <= 1 << 63:
                 raw = b"".join(
-                    np.ascontiguousarray(b % self.ring.modulus, dtype=np.int64).tobytes()
+                    np.ascontiguousarray(b % n, dtype=np.int64).tobytes()
                     for b in self.blocks
                 )
             else:
-                raw = repr(tuple(b._key for b in self.blocks)).encode()
+                # residues past int64: their values, not the object pointers
+                raw = repr([(b % n).tolist() for b in self.blocks]).encode()
             object.__setattr__(self, "_key", raw)
         return self._key
 
@@ -159,7 +171,13 @@ class GroupElement:
             raise MixedRings(f"{other.ring} vs {self.ring}")
         if self.backend == "np":
             n = self.ring.modulus
-            blocks = tuple((a @ b) % n for a, b in zip(self.blocks, other.blocks))
+            if int64_safe(n, max(self.rep.block_dims)):
+                blocks = tuple((a @ b) % n for a, b in zip(self.blocks, other.blocks))
+            else:
+                blocks = tuple(
+                    (a.astype(object) @ b.astype(object)) % n
+                    for a, b in zip(self.blocks, other.blocks)
+                )
             return GroupElement(self.rep, self.ring, "np", blocks)
         blocks = tuple(a * b for a, b in zip(self.blocks, other.blocks))
         return GroupElement(self.rep, self.ring, "exact", blocks)

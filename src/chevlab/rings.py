@@ -1,9 +1,24 @@
 """Exact arithmetic for Z, Z/n and polynomial rings over them.
 
-Elements are immutable and canonical: residues live in [0, n), polynomial
-terms are kept in a fixed graded-lexicographic order with no zero
-coefficients.  Equality of elements is therefore representational equality,
-and anything built from elements (matrices, words) hashes deterministically.
+Elements are immutable.  Residues live in [0, n).  A polynomial is a map
+from packed monomial to nonzero coefficient, with coefficients reduced into
+[0, n) over Z/n.  A packed monomial is one int holding the exponent of
+variable i in the field of ``FIELD_BITS`` bits that starts at bit
+``FIELD_BITS * i``; the top bit of each field is a guard bit, so an exponent
+is at most ``MAX_EXPONENT``.  Multiplying two monomials is one integer
+addition.  Each field of such a sum stays below 2^FIELD_BITS, so an exponent
+that outgrows its field sets that field's guard bit without carrying into
+the next one, and the product is refused with :class:`DegreeOverflow`
+instead of wrapping.  The layout is that of Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors" (CASC
+2007); no other module knows it.
+
+Equality and hashing are on the term map, whatever order the terms were
+inserted in.  The canonical order -- graded lexicographic, highest first --
+is a property of display: only ``RingElement.terms``, the read-only
+(exponents, coefficient) view that other code reads, and
+``element_to_string`` sort.  Anything built from elements (matrices, words)
+therefore still hashes and prints deterministically.
 
 Ideals are finitely generated and kept in a normal form for which
 membership is decidable by inspection:
@@ -20,7 +35,12 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterator
+
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 
 
 class RingError(Exception):
@@ -45,6 +65,10 @@ class UnrepresentableQuotient(RingError):
 
 class ParseError(RingError):
     """Malformed ring / element / ideal specification string."""
+
+
+class DegreeOverflow(RingError):
+    """An exponent above MAX_EXPONENT, which a packed monomial cannot hold."""
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
@@ -78,6 +102,12 @@ class Ring:
             for name in self.variables:
                 if not _NAME_RE.match(name):
                     raise ValueError(f"bad variable name {name!r}")
+            # the packed layout; plain attributes, not fields, so equality,
+            # hashing and repr of rings ignore them
+            shifts = tuple(FIELD_BITS * i for i in range(len(self.variables)))
+            object.__setattr__(self, "_shifts", shifts)
+            object.__setattr__(self, "_guards", sum(1 << (s + FIELD_BITS - 1) for s in shifts))
+            object.__setattr__(self, "_cmod", self.base.modulus or 0)
         else:
             raise ValueError(f"unknown ring kind {self.kind!r}")
 
@@ -111,16 +141,13 @@ class Ring:
             return RingElement(self, int(value))
         if self.kind == "Zn":
             return RingElement(self, int(value) % self.modulus)
-        c = self._cred(int(value))
-        payload = () if c == 0 else (((0,) * len(self.variables), c),)
-        return RingElement(self, payload)
+        return self._poly({0: int(value)})
 
     def var(self, name: str) -> "RingElement":
         if self.kind != "poly":
             raise RingError(f"{self} has no variables")
         i = self.variables.index(name)
-        exp = tuple(1 if j == i else 0 for j in range(len(self.variables)))
-        return RingElement(self, ((exp, 1),))
+        return RingElement(self, {1 << self._shifts[i]: 1})
 
     def vars(self) -> tuple["RingElement", ...]:
         return tuple(self.var(v) for v in self.variables)
@@ -128,26 +155,65 @@ class Ring:
     def term(self, coeff: int, exponents: tuple[int, ...]) -> "RingElement":
         if self.kind != "poly":
             raise RingError(f"{self} has no monomials")
-        c = self._cred(coeff)
-        if c == 0:
-            return self.zero
-        return RingElement(self, ((tuple(exponents), c),))
+        return self._poly({self._pack(exponents): coeff})
 
     def from_dict(self, d: dict) -> "RingElement":
-        """Element from an exponent->coefficient dict (poly rings only)."""
-        items = []
-        for exp, c in d.items():
-            c = self._cred(c)
-            if c:
-                items.append((tuple(exp), c))
-        items.sort(key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-        return RingElement(self, tuple(items))
+        """Element from an exponent-tuple -> coefficient dict (poly rings only)."""
+        if self.kind != "poly":
+            raise RingError(f"{self} has no monomials")
+        return self._poly({self._pack(exp): c for exp, c in d.items()})
 
-    def _cred(self, c: int) -> int:
-        """Reduce a base-ring coefficient canonically."""
-        if self.kind == "poly" and self.base.kind == "Zn":
-            return c % self.base.modulus
-        return c
+    def sum_of_products(self, pairs) -> "RingElement":
+        """sum(a * b for a, b in pairs) over elements of this ring: every
+        product goes into one accumulator, and one element is built."""
+        if self.kind == "Z":
+            return RingElement(self, sum(a.payload * b.payload for a, b in pairs))
+        if self.kind == "Zn":
+            return RingElement(self, sum(a.payload * b.payload for a, b in pairs) % self.modulus)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for a, b in pairs:
+            right = b.payload.items()
+            for m1, c1 in a.payload.items():
+                for m2, c2 in right:
+                    m = m1 + m2
+                    acc[m] = get(m, 0) + c1 * c2
+        return self._poly(acc)
+
+    # -- packed monomials (poly rings) ----------------------------------------
+
+    def _pack(self, exponents) -> int:
+        exps = tuple(exponents)
+        if len(exps) != len(self.variables):
+            raise RingError(f"{self} needs {len(self.variables)} exponents, got {exps}")
+        m = 0
+        for name, e, s in zip(self.variables, exps, self._shifts):
+            if e < 0:
+                raise RingError(f"negative exponent {name}^{e} in {self}")
+            if e > MAX_EXPONENT:
+                raise DegreeOverflow(
+                    f"{name}^{e} exceeds the largest exponent {MAX_EXPONENT} of {self}"
+                )
+            m |= e << s
+        return m
+
+    def _unpack(self, m: int) -> tuple[int, ...]:
+        return tuple((m >> s) & ((1 << FIELD_BITS) - 1) for s in self._shifts)
+
+    def _poly(self, acc: dict) -> "RingElement":
+        """Element from a packed monomial -> coefficient map: coefficients
+        reduced, zero terms dropped, and a surviving monomial with a guard
+        bit set refused."""
+        n = self._cmod
+        if n:
+            d = {m: r for m, c in acc.items() if (r := c % n)}
+        else:
+            d = {m: c for m, c in acc.items() if c}
+        if d and reduce(or_, d) & self._guards:
+            # the fields of a sum of two packed monomials hold its true
+            # exponents, so repacking them raises DegreeOverflow
+            self._pack(self._unpack(next(m for m in d if m & self._guards)))
+        return RingElement(self, d)
 
     # -- global properties -------------------------------------------------
 
@@ -170,14 +236,19 @@ class Ring:
 
 
 class RingElement:
-    """Immutable canonical element of a :class:`Ring`."""
+    """Immutable element of a :class:`Ring`.
+
+    ``payload`` is the residue for Z and Z/n, and for a polynomial the packed
+    monomial -> coefficient map, which is never mutated; other modules read
+    polynomial terms through :attr:`terms`.
+    """
 
     __slots__ = ("ring", "payload", "_hash")
 
     def __init__(self, ring: Ring, payload):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "_hash", hash((ring, payload)))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RingElement is immutable")
@@ -186,7 +257,7 @@ class RingElement:
 
     def _coerce(self, other) -> "RingElement":
         if isinstance(other, RingElement):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise MixedRings(f"{other.ring} vs {self.ring}")
             return other
         if isinstance(other, int):
@@ -198,20 +269,35 @@ class RingElement:
             other = self.ring.element(other)
         return (
             isinstance(other, RingElement)
-            and self.ring == other.ring
+            and (self.ring is other.ring or self.ring == other.ring)
             and self.payload == other.payload
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            p = self.payload
+            items = frozenset(p.items()) if isinstance(p, dict) else p
+            object.__setattr__(self, "_hash", hash((self.ring, items)))
         return self._hash
 
     @property
     def is_zero(self) -> bool:
-        return self.payload == 0 or self.payload == ()
+        return not self.payload
 
     @property
     def is_one(self) -> bool:
         return self == self.ring.one
+
+    @property
+    def terms(self) -> tuple:
+        """The (exponents, coefficient) pairs of a polynomial in canonical
+        graded lexicographic order, highest first."""
+        r = self.ring
+        if r.kind != "poly":
+            raise RingError(f"{r} has no monomials")
+        items = [(r._unpack(m), c) for m, c in self.payload.items()]
+        items.sort(key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return tuple(items)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -225,9 +311,9 @@ class RingElement:
         if r.kind == "Zn":
             return RingElement(r, (self.payload + other.payload) % r.modulus)
         d = dict(self.payload)
-        for exp, c in other.payload:
-            d[exp] = d.get(exp, 0) + c
-        return r.from_dict(d)
+        for m, c in other.payload.items():
+            d[m] = d.get(m, 0) + c
+        return r._poly(d)
 
     __radd__ = __add__
 
@@ -237,7 +323,7 @@ class RingElement:
             return RingElement(r, -self.payload)
         if r.kind == "Zn":
             return RingElement(r, (-self.payload) % r.modulus)
-        return r.from_dict({exp: -c for exp, c in self.payload})
+        return r._poly({m: -c for m, c in self.payload.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -257,12 +343,7 @@ class RingElement:
             return RingElement(r, self.payload * other.payload)
         if r.kind == "Zn":
             return RingElement(r, (self.payload * other.payload) % r.modulus)
-        d: dict = {}
-        for e1, c1 in self.payload:
-            for e2, c2 in other.payload:
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                d[exp] = d.get(exp, 0) + c1 * c2
-        return r.from_dict(d)
+        return r.sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -293,19 +374,19 @@ class RingElement:
             n = r.modulus
             t = (self.payload // g) * pow(k // g, -1, n // g) % (n // g)
             return RingElement(r, t % n)
-        base_mod = r.base.modulus if r.base.kind == "Zn" else None
+        base_mod = r._cmod
         d = {}
-        for exp, c in self.payload:
-            if base_mod is None:
+        for m, c in self.payload.items():
+            if not base_mod:
                 if c % k:
                     return None
-                d[exp] = c // k
+                d[m] = c // k
             else:
                 g = math.gcd(k, base_mod)
                 if c % g:
                     return None
-                d[exp] = (c // g) * pow(k // g, -1, base_mod // g) % (base_mod // g)
-        return r.from_dict(d)
+                d[m] = (c // g) * pow(k // g, -1, base_mod // g) % (base_mod // g)
+        return r._poly(d)
 
     # -- display -------------------------------------------------------------
 
@@ -349,11 +430,12 @@ class Ideal:
         for e in elems:
             if e.is_zero:
                 continue
-            if len(e.payload) != 1:
+            single = e.terms
+            if len(single) != 1:
                 raise UnsupportedIdealShape(
                     f"generator {e} is not a term (monomial times constant)"
                 )
-            terms.append(e.payload[0])
+            terms.append(single[0])
         return Ideal(ring, _normalize_terms(ring, terms))
 
     @staticmethod
@@ -379,7 +461,7 @@ class Ideal:
         if x.is_zero:
             return True
         base_mod = r.base.modulus if r.base.kind == "Zn" else 0
-        for exp, c in x.payload:
+        for exp, c in x.terms:
             g = 0
             for gexp, gc in self.gens:
                 if all(a >= b for a, b in zip(exp, gexp)):
@@ -420,7 +502,7 @@ class Ideal:
         r = self.ring
         if r.kind in ("Z", "Zn"):
             return [r.element(self.gens[0])]
-        return [RingElement(r, (t,)) for t in self.gens]
+        return [r.term(c, exp) for exp, c in self.gens]
 
     def element_values(self) -> list[RingElement]:
         """All elements of the ideal (finite rings only), ascending."""
@@ -545,7 +627,7 @@ def ring_quotient(ring: Ring, ideal: Ideal):
 
         def reduce_elem(e: RingElement) -> RingElement:
             d: dict = {}
-            for exp, c in e.payload:
+            for exp, c in e.terms:
                 if any(exp[i] for i in killed):
                     continue
                 new_exp = tuple(exp[i] for i in keep)
@@ -557,7 +639,7 @@ def ring_quotient(ring: Ring, ideal: Ideal):
 
     def reduce_const(e: RingElement) -> RingElement:
         total = 0
-        for exp, c in e.payload:
+        for exp, c in e.terms:
             if not any(exp):
                 total += c
         return base_map(ring.base.element(total))
@@ -594,10 +676,10 @@ def element_to_string(e: RingElement) -> str:
     r = e.ring
     if r.kind in ("Z", "Zn"):
         return str(e.payload)
-    if not e.payload:
+    if e.is_zero:
         return "0"
     parts = []
-    for exp, c in e.payload:
+    for exp, c in e.terms:
         factors = []
         for name, k in zip(r.variables, exp):
             if k == 1:

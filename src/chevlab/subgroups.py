@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorize import condition_star, relative_generators
-from .reps import Representation, get_representation
+from .reps import Representation, get_representation, int64_safe
 from .rings import Ideal, InfiniteRing, Ring, enumerate_elements
 from .roots import get_system
 from .words import Word, word_to_sexpr, x_word, evaluate
@@ -384,6 +384,11 @@ def _require_enumerable(rep: Representation, ring: Ring) -> None:
         )
     if ring.kind != "Zn":
         raise InfiniteRing("subgroup enumeration needs Z/n")
+    dim = rep.block_dims[0]
+    if not int64_safe(ring.modulus, dim):
+        raise EnumerationError(
+            f"{ring} is too large for int64 products of {dim}x{dim} matrices"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +407,16 @@ def enumerate_congruence_subgroup(
     """The principal congruence subgroup G(R, I): all matrices congruent to
     1 mod the ideal that satisfy the group equations.  Built by lifting along
     the p-adic filtration of each prime power of the modulus (see the module
-    docstring), refused when the (n/d)^(dim^2) matrices 1 + dM exceed the
-    bound, and audited for closure before it is cached."""
+    docstring), and audited for closure before it is cached.  Refused when
+    the base-layer sweeps, p^(dim^2) matrices for each prime p dividing n but
+    not d, or the elements to keep exceed the bound."""
     cache_key = (rep.name, ring, ideal)
     cached = _CONGRUENCE_CACHE.get(cache_key)
     if cached is not None:
+        if cached.cardinality > bound:
+            raise BoundExceeded(
+                f"congruence subgroup has {cached.cardinality} elements (> {bound})", 0
+            )
         return cached
     sub = _enumerate_congruence_uncached(rep, ring, ideal, bound)
     _CONGRUENCE_CACHE[cache_key] = sub
@@ -427,14 +437,13 @@ def _enumerate_congruence_uncached(
         sub.close_over(np.eye(rep.block_dims[0], dtype=np.int64)[None], bound)
         return sub
     dim = rep.block_dims[0]
-    radix = n // d
-    count = radix ** (dim * dim)
+    count = sum(p ** (dim * dim) for p, _ in _prime_powers(n) if d % p)
     if count > bound:
         raise BoundExceeded(
             f"congruence enumeration needs {count} candidates (> {bound})", 0
         )
     sub = EnumeratedSubgroup(rep, ring, [])
-    sub._add_batch(_lift_congruence(rep, n, d), bound)
+    sub._add_batch(_lift_congruence(rep, n, d, bound), bound)
     # every lift of every layer element is listed exactly once, so the set is
     # the full kernel of reduction mod d; audit with the level generators
     # plus sampled internal products
@@ -444,14 +453,16 @@ def _enumerate_congruence_uncached(
     return sub
 
 
-def _lift_congruence(rep: Representation, n: int, d: int) -> np.ndarray:
+def _lift_congruence(
+    rep: Representation, n: int, d: int, bound: int = DEFAULT_CANDIDATE_BOUND
+) -> np.ndarray:
     """G(Z/n, (d)) for d | n, d != n, as canonical residue matrices sorted by
-    the mixed-radix index of ((g - 1) mod n)/d, the order of the sweep."""
+    the mixed-radix index of ((g - 1) mod n)/d, the order of the sweep.
+
+    Refused before a prime's layers are built when the elements would exceed
+    the bound: each element of a layer has p^(dim G) lifts, the solutions of
+    the linearised equations, since SL3 and Sp4 are smooth over Z_p."""
     dim = rep.block_dims[0]
-    if dim * (n - 1) ** 2 >= 1 << 63:
-        raise EnumerationError(
-            f"Z/{n} is too large for int64 products of {dim}x{dim} matrices"
-        )
     ident = np.eye(dim, dtype=np.int64)
     stack, modulus = ident[None], 1
     for p, k in _prime_powers(n):
@@ -462,8 +473,12 @@ def _lift_congruence(rep: Representation, n: int, d: int) -> np.ndarray:
             layer, level = ident[None], a
         else:
             layer, level = _sweep_congruence(rep, p, 1), 1
+        size = len(stack) * len(layer)
         if level < k:
             solver = _solve_mod_p(_linearised_equations(rep, p), p)
+            size *= p ** (len(solver[2]) * (k - level))
+        if size > bound:
+            raise BoundExceeded(f"congruence subgroup has {size} elements (> {bound})", 0)
         for m in range(level, k):
             layer = _lift_layer(rep, layer, p, m, solver)
         # Chinese remainder: x = s mod modulus, x = t mod p^k

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from chevlab.reps import (
+    GroupElement,
     PeelError,
     congruence_level_test,
     get_representation,
+    int64_safe,
     reduce_mod,
     unipotent_coordinates,
     verify_steinberg,
@@ -192,3 +194,34 @@ def test_unipotent_coordinates_rejects_outsiders():
     g = rep.x(system.root((0, 1)), Z8.element(1))
     with pytest.raises(PeelError):
         unipotent_coordinates(g, [system.root((1, 0))])
+
+
+def _exact_mul(a: list, b: list, n: int) -> list:
+    return [[sum(x * y for x, y in zip(row, col)) % n for col in zip(*b)] for row in a]
+
+
+# 3 (n - 1)^2 < 2^63 exactly up to n = 1753413057 and 14 (n - 1)^2 up to
+# n = 811672526: int64 up to there, Python ints past it
+@pytest.mark.parametrize(
+    "tag, n",
+    [("A2", 1753413057), ("A2", 1753413058), ("A2", 2**40 + 15), ("A2", 2**64 + 13),
+     ("G2", 811672526), ("G2", 811672527)],
+)
+def test_modular_products_exact_past_int64(tag, n):
+    rep = get_representation(tag)
+    ring = Ring.mod(n)
+    dim = max(rep.block_dims)
+    assert int64_safe(n, dim) == (n <= {"A2": 1753413057, "G2": 811672526}[tag])
+    dtype = np.int64 if int64_safe(n, dim) else object
+    rng = random.Random(n)
+    prod = rep.identity(ring)
+    exact = [b.tolist() for b in prod.blocks]
+    for _ in range(50 if tag == "A2" else 6):
+        g = rep.x(rng.choice(rep.system.roots), ring.element(rng.randrange(n)))
+        assert all(b.dtype == dtype for b in g.blocks)
+        prod = prod * g
+        exact = [_exact_mul(e, b.tolist(), n) for e, b in zip(exact, g.blocks)]
+        assert [b.tolist() for b in prod.blocks] == exact
+    # equality keys depend on the residues only, not on the dtype
+    same = GroupElement(rep, ring, "np", tuple(np.array(e, dtype=object) for e in exact))
+    assert same == prod and hash(same) == hash(prod)

@@ -266,3 +266,29 @@ def test_oldie6_generators_reproduce_relative_commutator():
     rel = relative_generators("A2", ideal)
     reference = commutator_subgroup(rel, rel, A2, Z4)
     assert bullets.same_elements(reference)
+
+
+def test_congruence_refusal_counts_the_sweeps_lifting_runs(monkeypatch):
+    # G(Z/8, (2)) lifts from {1} mod 2 and sweeps no candidates; the old
+    # refusal counted the 4^9 = 262144 matrices 1 + 2M of a full sweep
+    from chevlab import subgroups
+
+    monkeypatch.setattr(subgroups, "_CONGRUENCE_CACHE", {})
+    audits = []
+    audit = EnumeratedSubgroup.audit_direct
+    monkeypatch.setattr(
+        EnumeratedSubgroup, "audit_direct", lambda self, probe: audits.append(1) or audit(self, probe)
+    )
+    ideal = Ideal.of(Z8, [2])
+    with pytest.raises(BoundExceeded, match="65536 elements"):
+        enumerate_congruence_subgroup(A2, Z8, ideal, bound=65535)
+    kernel = enumerate_congruence_subgroup(A2, Z8, ideal, bound=100000)
+    assert kernel.cardinality == 2**16 and audits == [1]
+    # the bound still caps a kernel taken from the cache
+    with pytest.raises(BoundExceeded, match="65536 elements"):
+        enumerate_congruence_subgroup(A2, Z8, ideal, bound=65535)
+    # base-layer sweeps are counted for the primes of n that d misses:
+    # 3^9 for G(F_3) inside G(Z/6, (2))
+    ring = Ring.mod(6)
+    with pytest.raises(BoundExceeded, match="needs 19683 candidates"):
+        enumerate_congruence_subgroup(A2, ring, Ideal.of(ring, [2]), bound=19682)
