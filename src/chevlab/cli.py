@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from .constants import compute_table, normalize_signs
+from .constants import compute_table, constants_magnitudes, normalize_signs
 from .factorize import (
     CertifiedFactorization,
     ParabolicData,
@@ -78,7 +78,6 @@ def task_verify_chevalley(params: dict) -> tuple[dict, bool]:
     table = compute_table(rep)
     cases = [c for c in MainLemmaCase if c.system_tag == tag]
     displays = {}
-    ok = True
     for case in cases:
         sn = normalize_signs(table, case)
         displays[case.value] = {
@@ -88,14 +87,13 @@ def task_verify_chevalley(params: dict) -> tuple[dict, bool]:
             ],
             "aux_constant": sn.aux_constant,
         }
-    magnitudes = sorted({abs(n) for n in table.entries.values()})
     return (
         {
             "system": tag,
             "normalized_displays": displays,
-            "constant_magnitudes": magnitudes,
+            "constant_magnitudes": sorted(constants_magnitudes(table)),
         },
-        ok,
+        True,
     )
 
 
@@ -109,13 +107,17 @@ def _symbolic_main_lemma(case: MainLemmaCase) -> tuple[CertifiedFactorization, b
     return fact, fact.verify(get_representation(case.system_tag), ring, ideal_i, ideal_j)
 
 
+def _main_lemma_ideals(ring: Ring, params: dict) -> tuple[Ideal, Ideal]:
+    default = str(params.get("ideal", "1"))
+    return tuple(parse_ideal(ring, str(params.get(key, default))) for key in ("ideal_i", "ideal_j"))
+
+
 def task_verify_main_lemma(params: dict) -> tuple[dict, bool]:
     case = MainLemmaCase.from_string(params["case"])
     if params.get("ring"):
         rep = get_representation(case.system_tag)
         ring = _finite_ring(params["ring"])
-        ideal_i = parse_ideal(ring, str(params.get("ideal_i", params.get("ideal", "1"))))
-        ideal_j = parse_ideal(ring, str(params.get("ideal_j", params.get("ideal", "1"))))
+        ideal_i, ideal_j = _main_lemma_ideals(ring, params)
         checked = 0
         failures = []
         for xi in ideal_i.element_values():
@@ -321,6 +323,26 @@ TASKS = {
 }
 
 
+def _listed_elements(command: str, params: dict, ring: Ring) -> int:
+    """What a finite-ring task lists before it can finish: |I| |J| n triples
+    for the finite main lemma, |roots| n generators for dump-generators and
+    |short roots| |I| words for the finite long-root tasks; 0 for others."""
+    n = ring.modulus
+
+    def size(ideal: Ideal) -> int:
+        return n // ideal.gens[0]
+
+    tag = params.get("type")
+    if command == "verify-main-lemma":
+        ideal_i, ideal_j = _main_lemma_ideals(ring, params)
+        return size(ideal_i) * size(ideal_j) * n
+    if command == "dump-generators" and tag:
+        return len(get_system(tag).roots) * n
+    if command in ("verify-long-root", "factorize-long-root") and tag and params.get("ideal"):
+        return len(get_system(tag).short_roots) * size(parse_ideal(ring, str(params["ideal"])))
+    return 0
+
+
 def validate_task(command: str, params: dict) -> None:
     """Cheap validation of a task before anything runs."""
     if command not in TASKS:
@@ -337,6 +359,13 @@ def validate_task(command: str, params: dict) -> None:
         for key in ("ideal", "ideal_i", "ideal_j"):
             if key in params and params[key] is not None:
                 parse_ideal(ring, str(params[key]))
+        if ring.kind == "Zn":
+            work = _listed_elements(command, params, ring)
+            if work > DEFAULT_ELEMENT_BOUND:
+                raise TaskError(
+                    f"{command} over {ring} would check {work} elements "
+                    f"(> {DEFAULT_ELEMENT_BOUND})"
+                )
     if command == "bruteforce":
         if params.get("stmt") not in STATEMENTS:
             raise TaskError(f"bruteforce needs --stmt from {STATEMENTS}")

@@ -91,14 +91,6 @@ class ExactMatrix:
 # dense integer/Fraction matrices for representation building
 
 
-def imat(rows) -> tuple:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def imat_zero(dim: int) -> tuple:
-    return tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim))
-
-
 def imat_identity(dim: int) -> tuple:
     return tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)

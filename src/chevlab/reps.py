@@ -73,9 +73,6 @@ class Representation:
     def dimension(self) -> int:
         return sum(self.block_dims)
 
-    def nilpotent(self, root: Root):
-        return self.powers[root][0]
-
     def identity(self, ring: Ring) -> "GroupElement":
         if ring.kind == "Zn":
             blocks = tuple(
@@ -135,7 +132,8 @@ class GroupElement:
 
     Finite modular rings use a numpy backend; symbolic rings use exact
     sparse matrices of ring elements.  Equality and hashing go through a
-    canonical byte key either way.
+    canonical key: the residue bytes of the numpy blocks, or the term maps of
+    the exact blocks' entries.
     """
 
     __slots__ = ("rep", "ring", "backend", "blocks", "_key")
@@ -150,11 +148,11 @@ class GroupElement:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("GroupElement is immutable")
 
-    def key(self) -> bytes:
+    def key(self) -> bytes | tuple:
         if self._key is None:
             n = self.ring.modulus
             if self.backend == "exact":
-                raw = repr(tuple(b._key for b in self.blocks)).encode()
+                raw = tuple(b._key for b in self.blocks)
             elif n <= 1 << 63:
                 raw = b"".join(
                     np.ascontiguousarray(b % n, dtype=np.int64).tobytes()

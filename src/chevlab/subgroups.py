@@ -17,12 +17,18 @@ set: the closure loops on it, and T3 and O2 are one call each (nothing
 missing is the verdict).  ``commutator_subgroup`` takes K as generator words
 or as an enumerated stack, so T2 passes all of C(R, J) as it is.
 
-Principal congruence subgroups G(Z/n, (d)) are built prime by prime along
-the filtration G(p^m) > G(p^(m+1)): the base layer is {1} mod p^a, or G(F_p)
-swept from the p^(dim^2) matrices mod p when p does not divide d, and each
-element of layer m lifts to g (1 + p^m Z) with Z running over the solutions
-mod p of the group equations linearised at 1.  The primes are joined by the
-Chinese remainder theorem.  The full sweep over 1 + dM survives only as
+Principal congruence subgroups G(Z/n, (d)) and full congruence subgroups
+C(Z/n, (d)), the preimage of the centre of G(Z/d), come from one lifting,
+prime by prime along the filtration G(p^m) > G(p^(m+1)).  The base layer at
+each p^a exactly dividing d is {1} for G, and for C the scalars s 1 mod p^a
+that satisfy the group equations, which make up the centre of G(Z/p^a); at a
+prime p not dividing d it is G(F_p), swept from the p^(dim^2) matrices mod p,
+for both.  Each element of layer m lifts to g (1 + p^m Z) with Z running over
+the solutions mod p of the group equations linearised at 1.  SL3 and Sp4 are
+smooth over Z_p, so every element of G(Z/p^m) lifts, each in p^(dim G) ways:
+every central class lifts whether or not it has a scalar lift, and
+|C(R, I)| = |Z(G(Z/d))| |G(R, I)|.  The primes are joined by the Chinese
+remainder theorem.  The full sweep over 1 + dM survives only as
 ``_sweep_congruence``, the base-layer step and the tests' oracle.
 """
 from __future__ import annotations
@@ -72,12 +78,15 @@ def _word_matrices(words: list[Word], rep: Representation, ring: Ring) -> np.nda
 
 def _unique_rows(stack: np.ndarray) -> np.ndarray:
     """The distinct matrices of the stack, in order of first occurrence."""
-    if len(stack) < 2:
-        return stack
+    return stack if len(stack) < 2 else stack[_first_rows(stack)]
+
+
+def _first_rows(stack: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct matrix."""
     flat = np.ascontiguousarray(stack).reshape(len(stack), -1)
     rows = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
     _, first = np.unique(rows, return_index=True)
-    return stack[np.sort(first)]
+    return np.sort(first)
 
 
 def _batch_inverse(stack: np.ndarray, n: int) -> np.ndarray:
@@ -407,58 +416,82 @@ def enumerate_congruence_subgroup(
     """The principal congruence subgroup G(R, I): all matrices congruent to
     1 mod the ideal that satisfy the group equations.  Built by lifting along
     the p-adic filtration of each prime power of the modulus (see the module
-    docstring), and audited for closure before it is cached.  Refused when
-    the base-layer sweeps, p^(dim^2) matrices for each prime p dividing n but
-    not d, or the elements to keep exceed the bound."""
-    cache_key = (rep.name, ring, ideal)
-    cached = _CONGRUENCE_CACHE.get(cache_key)
-    if cached is not None:
-        if cached.cardinality > bound:
-            raise BoundExceeded(
-                f"congruence subgroup has {cached.cardinality} elements (> {bound})", 0
-            )
-        return cached
-    sub = _enumerate_congruence_uncached(rep, ring, ideal, bound)
-    _CONGRUENCE_CACHE[cache_key] = sub
-    return sub
+    docstring), and audited before it is cached.  Refused when the base-layer
+    sweeps, p^(dim^2) matrices for each prime p dividing n but not d, or the
+    elements to keep exceed the bound."""
+    return _congruence(rep, ring, ideal, bound, central=False)
 
 
-def _enumerate_congruence_uncached(
+def enumerate_full_congruence(
     rep: Representation,
     ring: Ring,
     ideal: Ideal,
-    bound: int,
+    bound: int = DEFAULT_CANDIDATE_BOUND,
 ) -> EnumeratedSubgroup:
+    """The full congruence subgroup C(R, I), the preimage of the centre of
+    G(R/I).  The same lifting as for G(R, I), started at each p^a exactly
+    dividing d from the central scalars of G(Z/p^a) instead of from 1; every
+    central class lifts, so |C(R, I)| = |Z(G(Z/d))| |G(R, I)|.  Cached,
+    bounded and audited like G(R, I); refused for the zero and unit ideals."""
+    _require_enumerable(rep, ring)
+    (d,) = ideal.gens
+    if d % ring.modulus == 0 or d == 1:
+        raise EnumerationError("full congruence enumeration needs a proper nonzero level")
+    return _congruence(rep, ring, ideal, bound, central=True)
+
+
+def _congruence(
+    rep: Representation, ring: Ring, ideal: Ideal, bound: int, central: bool
+) -> EnumeratedSubgroup:
+    """G(R, I), or C(R, I) when central: from the cache, or built, audited
+    and cached.  The cache key holds no bound, so a cached set is checked
+    against it."""
+    cache_key = (rep.name, ring, ideal) + (("C",) if central else ())
+    sub = _CONGRUENCE_CACHE.get(cache_key)
+    if sub is not None:
+        if sub.cardinality > bound:
+            raise BoundExceeded(
+                f"congruence subgroup has {sub.cardinality} elements (> {bound})", 0
+            )
+        return sub
     _require_enumerable(rep, ring)
     n = ring.modulus
     (d,) = ideal.gens
-    if d % n == 0:
-        sub = EnumeratedSubgroup(rep, ring, [])
-        sub.close_over(np.eye(rep.block_dims[0], dtype=np.int64)[None], bound)
-        return sub
     dim = rep.block_dims[0]
-    count = sum(p ** (dim * dim) for p, _ in _prime_powers(n) if d % p)
+    # the base layers' candidates: p^(dim^2) matrices at each prime p not
+    # dividing d, and for C the p^a scalars at each p^a exactly dividing d
+    primes = _prime_powers(n)
+    count = sum(p ** (dim * dim) for p, _ in primes if d % p)
+    if central:
+        count += sum(math.gcd(d, p**k) for p, k in primes if d % p == 0)
     if count > bound:
         raise BoundExceeded(
             f"congruence enumeration needs {count} candidates (> {bound})", 0
         )
+    stack = _lift_congruence(rep, n, d, bound, central)
     sub = EnumeratedSubgroup(rep, ring, [])
-    sub._add_batch(_lift_congruence(rep, n, d, bound), bound)
-    # every lift of every layer element is listed exactly once, so the set is
-    # the full kernel of reduction mod d; audit with the level generators
-    # plus sampled internal products
+    sub._add_batch(stack, bound)
+    # every lift of every base-layer element is listed exactly once, so the
+    # set is the full preimage; audit with the level generators (and for C
+    # one element of each central class) plus sampled internal products
     probe = _word_matrices(elementary_level_words(rep.system.type_tag, ideal), rep, ring)
+    if central:
+        probe = np.concatenate([probe, stack[_first_rows(stack % d)]])
     if not sub.audit_direct(probe):
-        raise EnumerationError("congruence set is not closed (bad filter?)")
+        raise EnumerationError("congruence set is not closed")
+    _CONGRUENCE_CACHE[cache_key] = sub
     return sub
 
 
 def _lift_congruence(
-    rep: Representation, n: int, d: int, bound: int = DEFAULT_CANDIDATE_BOUND
+    rep: Representation, n: int, d: int, bound: int, central: bool
 ) -> np.ndarray:
-    """G(Z/n, (d)) for d | n, d != n, as canonical residue matrices sorted by
-    the mixed-radix index of ((g - 1) mod n)/d, the order of the sweep.
+    """G(Z/n, (d)) for d | n, or C(Z/n, (d)) when central, as
+    canonical residue matrices sorted by the mixed-radix index of
+    (g - 1) mod n; for G that is the order of the sweep.
 
+    The base layer at each p^a exactly dividing d, a >= 1, is {1}, or the
+    centre of G(Z/p^a) when central; at a prime not dividing d it is G(F_p).
     Refused before a prime's layers are built when the elements would exceed
     the bound: each element of a layer has p^(dim G) lifts, the solutions of
     the linearised equations, since SL3 and Sp4 are smooth over Z_p."""
@@ -470,7 +503,7 @@ def _lift_congruence(
         while a < k and d % p ** (a + 1) == 0:
             a += 1
         if a:
-            layer, level = ident[None], a
+            layer, level = (_central_scalars(rep, p**a) if central else ident[None]), a
         else:
             layer, level = _sweep_congruence(rep, p, 1), 1
         size = len(stack) * len(layer)
@@ -489,8 +522,20 @@ def _lift_congruence(
             (stack[:, None] * e_old) % joint + (layer[None, :] * e_new) % joint
         ).reshape(-1, dim, dim) % joint
         modulus = joint
-    digits = (((stack - ident) % n) // d).reshape(len(stack), -1)
+    digits = ((stack - ident) % n).reshape(len(stack), -1)
     return stack[np.lexsort(digits.T)]
+
+
+def _central_scalars(rep: Representation, q: int) -> np.ndarray:
+    """The scalar matrices s 1 mod q that satisfy the group equations mod q,
+    which make up the centre of G(Z/q)."""
+    dim = rep.block_dims[0]
+    ident = np.eye(dim, dtype=np.int64)
+    kept = []
+    for start in range(0, q, _CHUNK):
+        cand = np.arange(start, min(start + _CHUNK, q), dtype=np.int64)[:, None, None] * ident
+        kept.append(cand[_group_equation_mask(rep, cand, q)])
+    return np.concatenate(kept)
 
 
 def _sweep_congruence(rep: Representation, n: int, d: int) -> np.ndarray:
@@ -615,72 +660,6 @@ def _group_equations(rep: Representation, stack: np.ndarray, n: int) -> np.ndarr
 def _group_equation_mask(rep: Representation, cand: np.ndarray, n: int) -> np.ndarray:
     ident = np.eye(cand.shape[1], dtype=np.int64)
     return np.all(_group_equations(rep, cand, n) == _group_equations(rep, ident[None], n), axis=1)
-
-
-def reduced_elementary_group(rep: Representation, ring: Ring, bound: int) -> EnumeratedSubgroup:
-    """Closure of all elementary generators over a finite ring."""
-    return closure(absolute_elementary_words(rep.system.type_tag, ring), rep, ring, bound)
-
-
-def central_mask(stack: np.ndarray, gen_stack: np.ndarray, m: int) -> np.ndarray:
-    """Which matrices of the stack commute mod m with every generator."""
-    reduced = stack % m
-    mask = np.ones(len(stack), dtype=bool)
-    for g in gen_stack % m:
-        mask &= np.all(reduced @ g % m == g @ reduced % m, axis=(1, 2))
-    return mask
-
-
-def enumerate_full_congruence(
-    rep: Representation,
-    ring: Ring,
-    ideal: Ideal,
-    bound: int = DEFAULT_CANDIDATE_BOUND,
-) -> EnumeratedSubgroup:
-    """Pre-image of the centre of the reduced group: central lifts times
-    the congruence kernel, re-filtered by the central-mod test."""
-    _require_enumerable(rep, ring)
-    n = ring.modulus
-    (d,) = ideal.gens
-    if d % n == 0 or d == 1:
-        raise EnumerationError("full congruence enumeration needs a proper nonzero level")
-    kernel = enumerate_congruence_subgroup(rep, ring, ideal, bound)
-    quot = Ring.mod(d)
-    reduced = reduced_elementary_group(rep, quot, bound)
-    gen_stack = _word_matrices(absolute_elementary_words(rep.system.type_tag, quot), rep, quot)
-    center = reduced.stack[central_mask(reduced.stack, gen_stack, d)]
-    dim = rep.block_dims[0]
-    lifts = []
-    for c in center:
-        scalar = c[0, 0]
-        if not np.array_equal(c % d, (scalar * np.eye(dim, dtype=np.int64)) % d):
-            raise EnumerationError("non-scalar central element; lifting unsupported")
-        lift = _scalar_lift(rep, n, d, int(scalar))
-        if lift is not None:
-            lifts.append(lift)
-    if not lifts:
-        raise EnumerationError("no central element lifted")
-    sub = EnumeratedSubgroup(rep, ring, [])
-    for lift in lifts:
-        coset = (lift @ kernel.stack) % n
-        if not central_mask(coset, gen_stack, d).all():
-            raise EnumerationError("central lift produced non-central elements")
-        sub._add_batch(coset, bound)
-    if sub.cardinality != len(lifts) * kernel.cardinality:
-        raise EnumerationError("full congruence cosets overlap unexpectedly")
-    if not sub.audit_direct(np.stack(lifts)):
-        raise EnumerationError("full congruence subgroup is not closed")
-    return sub
-
-
-def _scalar_lift(rep: Representation, n: int, d: int, scalar: int) -> np.ndarray | None:
-    dim = rep.block_dims[0]
-    for k in range(n // d):
-        s = (scalar + k * d) % n
-        cand = (s * np.eye(dim, dtype=np.int64)) % n
-        if _group_equation_mask(rep, cand[None], n)[0]:
-            return cand
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -35,19 +35,11 @@ class ZSym:
 
 
 @dataclass(frozen=True)
-class InvSym:
-    inner: "XSym | ZSym | ConjSym"
-
-
-@dataclass(frozen=True)
 class ConjSym:
     """by * base * by^-1."""
 
     base: "Word"
     by: "Word"
-
-
-Symbol = object  # XSym | ZSym | InvSym | ConjSym
 
 
 @dataclass(frozen=True)
@@ -126,8 +118,6 @@ def _invert_symbol(sym):
         return ZSym(sym.root, -sym.xi, sym.eta)
     if isinstance(sym, ConjSym):
         return ConjSym(sym.base.inverse(), sym.by)
-    if isinstance(sym, InvSym):
-        return sym.inner
     raise WordError(f"unknown symbol {sym!r}")
 
 
@@ -137,8 +127,6 @@ def _reduce_symbol(sym):
         return None if sym.coeff.is_zero else sym
     if isinstance(sym, ZSym):
         return None if sym.xi.is_zero else sym
-    if isinstance(sym, InvSym):
-        return _reduce_symbol(_invert_symbol(sym.inner))
     if isinstance(sym, ConjSym):
         base = sym.base.free_reduce()
         if base.is_empty:
@@ -173,8 +161,6 @@ def _walk_x(sym, include_conjugators):
         yield XSym(-sym.root, sym.eta), False
         yield XSym(sym.root, sym.xi), False
         yield XSym(-sym.root, -sym.eta), False
-    elif isinstance(sym, InvSym):
-        yield from _walk_x(_invert_symbol(sym.inner), include_conjugators)
     elif isinstance(sym, ConjSym):
         for letter in sym.base.letters:
             yield from _walk_x(letter, include_conjugators)
@@ -205,8 +191,6 @@ def _symbol_matrix(sym, rep: Representation, ring: Ring) -> GroupElement:
         if sym.xi.ring != ring or sym.eta.ring != ring:
             raise MixedRings("z-symbol coefficients outside the ring")
         return rep.z(sym.root, sym.xi, sym.eta)
-    if isinstance(sym, InvSym):
-        return _symbol_matrix(_invert_symbol(sym.inner), rep, ring)
     if isinstance(sym, ConjSym):
         by = evaluate(sym.by, rep, ring)
         by_inv = evaluate(sym.by.inverse(), rep, ring)
@@ -216,13 +200,6 @@ def _symbol_matrix(sym, rep: Representation, ring: Ring) -> GroupElement:
 
 # ---------------------------------------------------------------------------
 # certificates
-
-
-@dataclass(frozen=True)
-class GenOfEI:
-    """The word is one elementary letter with coefficient in the ideal."""
-
-    ideal: Ideal
 
 
 @dataclass(frozen=True)
@@ -266,14 +243,9 @@ def validate_certificate(
     ring: Ring,
 ) -> bool:
     """Check a certificate's leaves and shape against its word."""
-    if isinstance(cert, GenOfEI):
-        if len(word.letters) != 1:
-            return False
-        letters = list(word.walk_x_letters(include_conjugators=False))
-        return len(letters) == 1 and cert.ideal.contains(letters[0][0].coeff)
     if isinstance(cert, LevelElement):
         for sym in word.letters:
-            if not isinstance(sym, (XSym, InvSym)):
+            if not isinstance(sym, XSym):
                 return False
         for xsym, _ in word.walk_x_letters(include_conjugators=False):
             if not cert.ideal.contains(xsym.coeff):
@@ -316,8 +288,6 @@ def certificate_tags(cert) -> set[str]:
 
 
 def certificate_to_json(cert) -> dict:
-    if isinstance(cert, GenOfEI):
-        return {"tag": "GenOfEI", "ideal": str(cert.ideal)}
     if isinstance(cert, LevelElement):
         return {"tag": "LevelElement", "ideal": str(cert.ideal)}
     if isinstance(cert, GenCommutator):
@@ -357,8 +327,6 @@ def _symbol_to_sexpr(sym) -> str:
             f"(z {root_name(sym.root)} {element_to_string(sym.xi)} "
             f"{element_to_string(sym.eta)})"
         )
-    if isinstance(sym, InvSym):
-        return f"(inv {_symbol_to_sexpr(sym.inner)})"
     if isinstance(sym, ConjSym):
         return f"(conj {word_to_sexpr(sym.base)} {word_to_sexpr(sym.by)})"
     raise WordError(f"unknown symbol {sym!r}")
@@ -411,7 +379,7 @@ def parse_word(ring: Ring, system: RootSystem, text: str) -> Word:
             eta = parse_element(ring, tokens[pos]); pos += 1
             node = ZSym(root, xi, eta)
         elif head == "inv":
-            node = InvSym(parse_node())
+            node = _node_to_word(parse_node()).inverse()
         elif head == "conj":
             base = _node_to_word(parse_node())
             by = _node_to_word(parse_node())
@@ -419,7 +387,7 @@ def parse_word(ring: Ring, system: RootSystem, text: str) -> Word:
         elif head == "w":
             symbols = []
             while tokens[pos] != ")":
-                symbols.append(parse_node())
+                symbols.extend(_node_to_word(parse_node()).letters)
             node = Word(tuple(symbols))
         else:
             raise WordError(f"unknown head {head!r} in {text!r}")

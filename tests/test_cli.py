@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -47,6 +48,21 @@ def test_validate_task_rejects_g2_bruteforce():
 def test_unknown_case_is_a_usage_error(capsys):
     assert main(["verify", "main-lemma", "--case", "G2", "--symbolic"]) == 2
     assert "case='G2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "main-lemma", "--case", "A2", "--ideal-i", "2", "--ideal-j", "3"],
+        ["dump-generators", "--type", "A2"],
+    ],
+)
+def test_unbounded_finite_ring_tasks_refused(argv, capsys):
+    # each would list about 10^12 ring elements or more before finishing
+    start = time.perf_counter()
+    assert main(argv + ["--ring", "Z/1099511627791"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "(> 1000000)" in capsys.readouterr().err
 
 
 def test_steinberg_cli(tmp_path):

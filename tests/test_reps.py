@@ -147,7 +147,7 @@ def _reduced_generators(rep, ring):
 
 
 def test_central_mod():
-    from chevlab.subgroups import central_mask
+    from congruence_oracle import central_mask
 
     rep = get_representation("A2")
     gens = _reduced_generators(rep, Ring.mod(2))
@@ -160,7 +160,7 @@ def test_central_mod():
 def test_centralizer_matches_center_bruteforce():
     # the centre of the reduced elementary group really is the centralizer
     # of the elementary generators: SL3(F2) trivial, Sp4(F3) = {+-1}
-    from chevlab.subgroups import central_mask, reduced_elementary_group
+    from congruence_oracle import central_mask, reduced_elementary_group
 
     rep = get_representation("A2")
     ring = Ring.mod(2)

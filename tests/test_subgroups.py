@@ -10,6 +10,7 @@ from chevlab.subgroups import (
     EnumeratedSubgroup,
     UnsupportedType,
     _CONJ_CHUNK,
+    _batch_det,
     _batch_inverse,
     _sweep_congruence,
     _word_matrices,
@@ -22,6 +23,7 @@ from chevlab.subgroups import (
     verify_theorem,
 )
 from chevlab.words import Word, x_word
+from congruence_oracle import full_congruence_by_closure
 
 Z4 = Ring.mod(4)
 Z8 = Ring.mod(8)
@@ -242,6 +244,38 @@ def test_full_congruence_c2_z9():
     cfull = enumerate_full_congruence(C2, Z9, ideal)
     kernel = enumerate_congruence_subgroup(C2, Z9, ideal)
     assert cfull.cardinality == 2 * kernel.cardinality == 2 * 3 ** 10
+
+
+@pytest.mark.parametrize(
+    "rep,n,d",
+    [
+        pytest.param(rep, n, d, id=f"{rep.name}-Z{n}-({d})")
+        for rep, n, d in [
+            (A2, 4, 2), (A2, 6, 2), (A2, 6, 3), (A2, 8, 2), (A2, 8, 4), (A2, 9, 3),
+            (A2, 12, 4), (C2, 4, 2), (C2, 6, 3), (C2, 9, 3),
+        ]
+    ],
+)
+def test_lifted_full_congruence_matches_closure_route(rep, n, d):
+    ring = Ring.mod(n)
+    ideal = Ideal.of(ring, [d])
+    lifted = enumerate_full_congruence(rep, ring, ideal)
+    oracle, centre = full_congruence_by_closure(rep, ring, ideal)
+    kernel = enumerate_congruence_subgroup(rep, ring, ideal)
+    assert lifted.same_elements(oracle)
+    assert lifted.cardinality == len(centre) * kernel.cardinality
+
+
+def test_full_congruence_lifts_classes_without_scalar_lift():
+    # the centre of SL3(Z/9) is {1, 4, 7} 1, but s^3 = 1 mod 27 has no
+    # solution s = 4 or 7 mod 9: those two classes lift only to non-scalars
+    ring = Ring.mod(27)
+    cfull = enumerate_full_congruence(A2, ring, Ideal.of(ring, [9]), bound=10**6)
+    assert not any(pow(s, 3, 27) == 1 for s in range(27) if s % 9 in (4, 7))
+    assert cfull.cardinality == 19683 == 3 * 3**8
+    residues = {tuple((m % 9).ravel()) for m in cfull.stack}
+    assert residues == {tuple((s * np.eye(3, dtype=np.int64)).ravel()) for s in (1, 4, 7)}
+    assert np.all(_batch_det(cfull.stack, 27) == 1)
 
 
 def test_verify_theorem_small_ring_all_statements():
