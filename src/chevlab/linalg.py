@@ -1,13 +1,12 @@
-"""Small exact-matrix helpers.
+"""Sparse exact matrices over a Ring.
 
-Two layers live here: sparse matrices of ring elements (used for all
-symbolic work, where entries are multivariate polynomials) and dense
-integer matrices over Fractions (used once, while constructing the
-representations and their divided powers).
+``ExactMatrix`` is the exact backend of every group element over a ring
+other than Z/n: over Z and over the polynomial rings of the symbolic
+checks, whose entries are multivariate polynomials.
+The representations themselves are built over plain Python ints in
+``reps``; there is no second matrix layer here.
 """
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .rings import MixedRings, Ring, RingElement
 
@@ -85,57 +84,3 @@ class ExactMatrix:
             [self.rows[i].get(j, zero) for j in range(self.dim)]
             for i in range(self.dim)
         ]
-
-
-# ---------------------------------------------------------------------------
-# dense integer/Fraction matrices for representation building
-
-
-def imat_identity(dim: int) -> tuple:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
-    )
-
-
-def imat_from_entries(dim: int, entries: dict) -> tuple:
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for (i, j), v in entries.items():
-        rows[i][j] = Fraction(v)
-    return tuple(tuple(row) for row in rows)
-
-
-def imat_mul(a: tuple, b: tuple) -> tuple:
-    dim = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim))
-        for i in range(dim)
-    )
-
-
-def imat_add(a: tuple, b: tuple) -> tuple:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def imat_scale(a: tuple, c) -> tuple:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def imat_bracket(a: tuple, b: tuple) -> tuple:
-    return imat_add(imat_mul(a, b), imat_scale(imat_mul(b, a), -1))
-
-def imat_is_zero(a: tuple) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-def imat_to_int(a: tuple) -> tuple:
-    """Assert all entries are integers and strip the Fractions."""
-    out = []
-    for row in a:
-        new_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError(f"non-integral entry {x}")
-            new_row.append(int(x))
-        out.append(tuple(new_row))
-    return tuple(out)

@@ -7,28 +7,24 @@
   ring's characteristic.
 
 The root-vector matrices form an integral lattice basis on which every
-divided power e^k/k! is again integral (asserted during construction), so
-the one-parameter subgroups x_a(t) = sum t^k e^(k) are polynomial with
-integer matrices and make sense over any coefficient ring.
+divided power e^k/k! is again integral, so the one-parameter subgroups
+x_a(t) = sum t^k e^(k) are polynomial with integer matrices and make sense
+over any coefficient ring.
+
+The matrices are built over plain Python ints, so integrality is enforced
+at each division rather than assumed: a composite root vector
+[e_s, e_d]/(p+1), a divided power e^k/k! and each coordinate of the G2
+adjoint block read off the basis are exact divisions, and a nonzero
+remainder raises RepresentationError naming the root and the divisor.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (
-    ExactMatrix,
-    imat_bracket,
-    imat_from_entries,
-    imat_identity,
-    imat_is_zero,
-    imat_mul,
-    imat_scale,
-    imat_to_int,
-)
+from .linalg import ExactMatrix
 from .rings import (
     Ideal,
     MixedRings,
@@ -232,17 +228,42 @@ class GroupElement:
 # representation builders
 
 
-def _chevalley_pair_division(system: RootSystem, step: Root, target_minus_step: Root) -> int:
-    """|N| = p + 1 for the defining bracket [e_step, e_rest] = N e_target."""
-    p, _ = system.root_string(step, target_minus_step)
-    return p + 1
+def _mat(dim: int, entries: dict) -> tuple:
+    """Dense integer matrix with the given {(i, j): value} entries."""
+    rows = [[0] * dim for _ in range(dim)]
+    for (i, j), v in entries.items():
+        rows[i][j] = v
+    return tuple(tuple(row) for row in rows)
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def _bracket(a: tuple, b: tuple) -> tuple:
+    ab, ba = _mul(a, b), _mul(b, a)
+    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(ab, ba))
+
+
+def _exact(x: int, divisor: int, what: str) -> int:
+    q, r = divmod(x, divisor)
+    if r:
+        raise RepresentationError(f"{what} is not integral: {divisor} does not divide {x}")
+    return q
+
+
+def _divide(mat: tuple, divisor: int, what: str) -> tuple:
+    """mat / divisor, refused unless the divisor divides every entry."""
+    return tuple(tuple(_exact(x, divisor, what) for x in row) for row in mat)
 
 
 def _close_positive_vectors(system: RootSystem, seeds: dict) -> dict:
     """Extend simple root vectors to all roots of one sign via brackets.
 
     Composite vectors are defined recursively through the simple step
-    e_(d+s) = [e_s, e_d] / (p+1); integrality of the division is asserted.
+    e_(d+s) = [e_s, e_d] / (p+1), where p is the length of the s-string
+    below d; the division must be exact.
     """
     simple1, simple2 = system.simple_roots
     vectors = dict(seeds)
@@ -250,55 +271,49 @@ def _close_positive_vectors(system: RootSystem, seeds: dict) -> dict:
     while pending:
         pending = False
         for root in system.positive_roots:
-            key = root.coords
-            if key in vectors:
+            if root.coords in vectors:
                 continue
             for step in (simple1, simple2):
                 rest = root.times_plus(1, step, -1)
                 if rest is None or rest.coords not in vectors:
                     continue
-                n = _chevalley_pair_division(system, step, rest)
-                mat = imat_scale(
-                    imat_bracket(vectors[step.coords], vectors[rest.coords]),
-                    Fraction(1, n),
+                p, _ = system.root_string(step, rest)
+                vectors[root.coords] = _divide(
+                    _bracket(vectors[step.coords], vectors[rest.coords]),
+                    p + 1,
+                    f"e_{root.name} = [e_{step.name}, e_{rest.name}]/{p + 1}",
                 )
-                vectors[key] = mat
                 pending = True
                 break
     return vectors
 
 
-def _divided_powers(mat: tuple) -> list[tuple]:
-    """[e, e^2/2!, e^3/3!, ...] until zero; all asserted integral."""
+def _divided_powers(mat: tuple, name: str) -> list[tuple]:
+    """[e, e^2/2!, e^3/3!, ...] until zero; each division must be exact."""
     out = []
     power = mat
     k = 1
     fact = 1
-    while not imat_is_zero(power):
-        out.append(imat_to_int(imat_scale(power, Fraction(1, fact))))
+    while any(any(row) for row in power):
+        out.append(_divide(power, fact, f"e_{name}^{k}/{k}!"))
         k += 1
         fact *= k
-        power = imat_mul(power, mat)
+        power = _mul(power, mat)
         if k > 8:  # non-nilpotent would be a construction bug
-            raise RepresentationError("root vector is not nilpotent")
+            raise RepresentationError(f"e_{name} is not nilpotent")
     return out
 
 
 def _build_block_vectors(system: RootSystem, e1, e2, f1, f2) -> dict:
-    pos = _close_positive_vectors(
-        system, {system.simple_roots[0].coords: e1, system.simple_roots[1].coords: e2}
-    )
-    neg_seeds = {
-        (-system.simple_roots[0].coords[0], -system.simple_roots[0].coords[1]): f1,
-        (-system.simple_roots[1].coords[0], -system.simple_roots[1].coords[1]): f2,
-    }
+    s1, s2 = system.simple_roots
+    pos = _close_positive_vectors(system, {s1.coords: e1, s2.coords: e2})
     mirrored = RootSystem(
         system.type_tag,
         system.roots,
-        (-system.simple_roots[0], -system.simple_roots[1]),
+        (-s1, -s2),
         tuple(-r for r in system.positive_roots),
     )
-    neg = _close_positive_vectors(mirrored, neg_seeds)
+    neg = _close_positive_vectors(mirrored, {(-s1).coords: f1, (-s2).coords: f2})
     return {**pos, **neg}
 
 
@@ -306,58 +321,55 @@ def _adjoint_block(system: RootSystem, vectors: dict) -> dict:
     """14- (or dim-of-algebra) dimensional adjoint block from a 7-dim block.
 
     Basis: the root vectors in the fixed root order, then the two Cartan
-    elements h1 = [e1, f1], h2 = [e2, f2].  Coordinates of every bracket in
-    this basis are solved exactly and asserted integral.
+    elements h1 = [e1, f1], h2 = [e2, f2].  The root vectors have pairwise
+    disjoint supports off the diagonal and h1, h2 are diagonal, so each
+    root coordinate of a bracket is one exact division at a pivot entry of
+    its root vector, and the (h1, h2) part is a 2x2 Cramer solve on two
+    diagonal entries.  Every bracket must equal the combination read off.
     """
-    order = [r.coords for r in system.roots]
     s1, s2 = system.simple_roots
-    h1 = imat_bracket(vectors[s1.coords], vectors[(-s1).coords])
-    h2 = imat_bracket(vectors[s2.coords], vectors[(-s2).coords])
-    basis = [vectors[c] for c in order] + [h1, h2]
-    dim_alg = len(basis)
-    flat = [[x for row in m for x in row] for m in basis]
+    h1 = _bracket(vectors[s1.coords], vectors[(-s1).coords])
+    h2 = _bracket(vectors[s2.coords], vectors[(-s2).coords])
+    roots = system.roots
+    basis = [vectors[r.coords] for r in roots] + [h1, h2]
+    names = [f"e_{r.name}" for r in roots] + ["h1", "h2"]
+    dim = len(h1)
+    pivots = [
+        next((i, j) for i in range(dim) for j in range(dim) if m[i][j])
+        for m in basis[:-2]
+    ]
+    i, j = next(
+        (i, j)
+        for i in range(dim)
+        for j in range(i + 1, dim)
+        if h1[i][i] * h2[j][j] != h1[j][j] * h2[i][i]
+    )
+    det = h1[i][i] * h2[j][j] - h1[j][j] * h2[i][i]
 
-    def solve_coords(mat) -> list[Fraction]:
-        target = [x for row in mat for x in row]
-        cols = list(range(dim_alg))
-        rows = [list(f) + [t] for f, t in zip(zip(*flat), target)]
-        # exact Gaussian elimination on the (len(target) x dim_alg | 1) system
-        sol = [Fraction(0)] * dim_alg
-        pivots = []
-        r = 0
-        for c in cols:
-            pivot = None
-            for rr in range(r, len(rows)):
-                if rows[rr][c] != 0:
-                    pivot = rr
-                    break
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            pv = rows[r][c]
-            rows[r] = [x / pv for x in rows[r]]
-            for rr in range(len(rows)):
-                if rr != r and rows[rr][c] != 0:
-                    f = rows[rr][c]
-                    rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
-            pivots.append(c)
-            r += 1
-        for rr in range(r, len(rows)):
-            if rows[rr][-1] != 0:
-                raise RepresentationError("bracket outside the algebra span")
-        for row, c in zip(rows, pivots):
-            sol[c] = row[-1]
-        return sol
+    def coordinates(target: tuple, what: str) -> list[int]:
+        out = [
+            _exact(target[pi][pj], m[pi][pj], f"{what} at {name}")
+            for m, (pi, pj), name in zip(basis, pivots, names)
+        ]
+        ti, tj = target[i][i], target[j][j]
+        out.append(_exact(ti * h2[j][j] - tj * h2[i][i], det, f"{what} at h1"))
+        out.append(_exact(h1[i][i] * tj - h1[j][j] * ti, det, f"{what} at h2"))
+        combo = tuple(
+            tuple(sum(a * m[r][c] for a, m in zip(out, basis) if a) for c in range(dim))
+            for r in range(dim)
+        )
+        if combo != target:
+            raise RepresentationError(f"{what} is not the combination read off the basis")
+        return out
 
     ad = {}
-    for coords in order:
-        e = vectors[coords]
-        cols = []
-        for b in basis:
-            cols.append(solve_coords(imat_bracket(e, b)))
-        ad[coords] = tuple(
-            tuple(cols[j][i] for j in range(dim_alg)) for i in range(dim_alg)
-        )
+    for root in roots:
+        e = vectors[root.coords]
+        cols = [
+            coordinates(_bracket(e, b), f"[e_{root.name}, {name}]")
+            for b, name in zip(basis, names)
+        ]
+        ad[root.coords] = tuple(zip(*cols))
     return ad
 
 
@@ -372,6 +384,18 @@ def get_representation(tag: str) -> Representation:
     raise RepresentationError(f"unknown system {tag!r}")
 
 
+def _powers(system: RootSystem, *blocks: dict) -> dict:
+    """root -> its divided powers, zipped across the blocks' root vectors;
+    a block whose powers end early is padded with zero matrices."""
+    powers = {}
+    for root in system.roots:
+        per_block = [_divided_powers(b[root.coords], root.name) for b in blocks]
+        depth = max(len(p) for p in per_block)
+        padded = [p + [_mat(len(p[0]), {})] * (depth - len(p)) for p in per_block]
+        powers[root] = tuple(zip(*padded))
+    return powers
+
+
 def _build_a2() -> Representation:
     system = get_system("A2")
     pos_entries = {
@@ -379,31 +403,23 @@ def _build_a2() -> Representation:
         (0, 1): {(1, 2): 1},          # e_23
         (1, 1): {(0, 2): 1},          # e_13
     }
-    powers = {}
-    for coords, entries in pos_entries.items():
-        root = system.root(coords)
-        mat = imat_from_entries(3, entries)
-        neg = imat_from_entries(3, {(j, i): v for (i, j), v in entries.items()})
-        powers[root] = tuple((blk,) for blk in _divided_powers(mat))
-        powers[-root] = tuple((blk,) for blk in _divided_powers(neg))
-    return Representation("A2", system, (3,), powers)
+    vectors = {}
+    for (a, b), entries in pos_entries.items():
+        vectors[(a, b)] = _mat(3, entries)
+        vectors[(-a, -b)] = _mat(3, {(j, i): v for (i, j), v in entries.items()})
+    return Representation("A2", system, (3,), _powers(system, vectors))
 
 
 def _build_c2() -> Representation:
     # basis (e1, e2, f1, f2); form <e_i, f_i> = 1
     system = get_system("C2")
-    e1 = imat_from_entries(4, {(0, 1): 1, (3, 2): -1})   # eps1 - eps2
-    e2 = imat_from_entries(4, {(1, 3): 1})               # 2 eps2
-    f1 = imat_from_entries(4, {(1, 0): 1, (2, 3): -1})
-    f2 = imat_from_entries(4, {(3, 1): 1})
+    e1 = _mat(4, {(0, 1): 1, (3, 2): -1})   # eps1 - eps2
+    e2 = _mat(4, {(1, 3): 1})               # 2 eps2
+    f1 = _mat(4, {(1, 0): 1, (2, 3): -1})
+    f2 = _mat(4, {(3, 1): 1})
     vectors = _build_block_vectors(system, e1, e2, f1, f2)
-    powers = {}
-    for root in system.roots:
-        powers[root] = tuple((blk,) for blk in _divided_powers(vectors[root.coords]))
-    form = imat_to_int(
-        imat_from_entries(4, {(0, 2): 1, (1, 3): 1, (2, 0): -1, (3, 1): -1})
-    )
-    return Representation("C2", system, (4,), powers, symplectic_form=form)
+    form = _mat(4, {(0, 2): 1, (1, 3): 1, (2, 0): -1, (3, 1): -1})
+    return Representation("C2", system, (4,), _powers(system, vectors), symplectic_form=form)
 
 
 def _build_g2() -> Representation:
@@ -411,26 +427,13 @@ def _build_g2() -> Representation:
     # 2a1+a2, a1+a2, a1, 0, -a1, -(a1+a2), -(2a1+a2); the four simple
     # generator matrices realize the Kostant lattice of the module.
     system = get_system("G2")
-    e1 = imat_from_entries(7, {(0, 1): 1, (2, 3): 2, (3, 4): 1, (5, 6): 1})
-    f1 = imat_from_entries(7, {(1, 0): 1, (3, 2): 1, (4, 3): 2, (6, 5): 1})
-    e2 = imat_from_entries(7, {(1, 2): 1, (4, 5): 1})
-    f2 = imat_from_entries(7, {(2, 1): 1, (5, 4): 1})
+    e1 = _mat(7, {(0, 1): 1, (2, 3): 2, (3, 4): 1, (5, 6): 1})
+    f1 = _mat(7, {(1, 0): 1, (3, 2): 1, (4, 3): 2, (6, 5): 1})
+    e2 = _mat(7, {(1, 2): 1, (4, 5): 1})
+    f2 = _mat(7, {(2, 1): 1, (5, 4): 1})
     vectors7 = _build_block_vectors(system, e1, e2, f1, f2)
     ad = _adjoint_block(system, vectors7)
-    powers = {}
-    for root in system.roots:
-        p7 = _divided_powers(vectors7[root.coords])
-        p14 = _divided_powers(ad[root.coords])
-        depth = max(len(p7), len(p14))
-        zero7 = imat_to_int(imat_scale(imat_identity(7), 0))
-        zero14 = imat_to_int(imat_scale(imat_identity(14), 0))
-        blocks = []
-        for k in range(depth):
-            b7 = p7[k] if k < len(p7) else zero7
-            b14 = p14[k] if k < len(p14) else zero14
-            blocks.append((b7, b14))
-        powers[root] = tuple(blocks)
-    return Representation("G2", system, (7, 14), powers)
+    return Representation("G2", system, (7, 14), _powers(system, vectors7, ad))
 
 
 # ---------------------------------------------------------------------------
@@ -444,19 +447,21 @@ def reduce_mod(g: GroupElement, ideal: Ideal) -> GroupElement:
     quot, reduce_elem = ring_quotient(g.ring, ideal)
     if quot == g.ring:
         return g
-    if quot.kind == "Zn" and g.backend == "np":
-        n = quot.modulus
-        blocks = tuple(b % n for b in g.blocks)
-        return GroupElement(g.rep, quot, "np", blocks)
     if quot.kind == "Zn":
-        blocks = []
-        for b, d in enumerate(g.rep.block_dims):
-            arr = np.zeros((d, d), dtype=np.int64)
-            for i in range(d):
-                for j in range(d):
-                    arr[i, j] = reduce_elem(g.entry(b, i, j)).payload
-            blocks.append(arr % quot.modulus)
-        return GroupElement(g.rep, quot, "np", tuple(blocks))
+        n = quot.modulus
+        # the dtype Representation.x picks: residues past int64 stay Python ints
+        dtype = np.int64 if int64_safe(n, max(g.rep.block_dims)) else object
+        if g.backend == "np":
+            blocks = tuple((b % n).astype(dtype) for b in g.blocks)
+        else:
+            blocks = tuple(
+                np.array(
+                    [[reduce_elem(g.entry(b, i, j)).payload for j in range(d)] for i in range(d)],
+                    dtype=dtype,
+                ) % n
+                for b, d in enumerate(g.rep.block_dims)
+            )
+        return GroupElement(g.rep, quot, "np", blocks)
     blocks = []
     for b, d in enumerate(g.rep.block_dims):
         entries = {}

@@ -740,6 +740,8 @@ def verify_theorem(
 
 def _dispatch_theorem(statement, system_tag, ring, ideal_i, ideal_j, bound, candidate_bound, report):
     rep = get_representation(system_tag)
+    # refuse before listing the |roots|·|I| level words of a ring too large
+    _require_enumerable(rep, ring)
     e_i = elementary_level_words(system_tag, ideal_i)
     e_j = elementary_level_words(system_tag, ideal_j)
     if statement == "T1":

@@ -2,10 +2,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from chevlab.constants import compute_table
 from chevlab.reps import (
     GroupElement,
     PeelError,
+    RepresentationError,
+    _divided_powers,
+    _mat,
     congruence_level_test,
     get_representation,
     int64_safe,
@@ -14,7 +19,8 @@ from chevlab.reps import (
     verify_steinberg,
 )
 from chevlab.rings import Ideal, Ring, enumerate_elements
-from chevlab.words import evaluate, x_word
+from chevlab.words import Word, XSym, evaluate, x_word
+from reps_oracle import oracle_representation
 
 
 Z8 = Ring.mod(8)
@@ -225,3 +231,55 @@ def test_modular_products_exact_past_int64(tag, n):
     # equality keys depend on the residues only, not on the dtype
     same = GroupElement(rep, ring, "np", tuple(np.array(e, dtype=object) for e in exact))
     assert same == prod and hash(same) == hash(prod)
+
+
+@pytest.mark.parametrize("tag", ["A2", "C2", "G2"])
+def test_integer_build_matches_fraction_oracle(tag):
+    rep, oracle = get_representation(tag), oracle_representation(tag)
+    assert rep.block_dims == oracle.block_dims
+    assert rep.symplectic_form == oracle.symplectic_form
+    assert rep.powers == oracle.powers
+    assert all(type(x) is int for mats in rep.powers.values() for blocks in mats
+               for block in blocks for row in block for x in row)
+    assert compute_table(rep).to_records() == compute_table(oracle).to_records()
+
+
+def test_non_integral_divided_power_refused():
+    # (e_12 + e_23)^2 / 2! = e_13 / 2
+    with pytest.raises(RepresentationError, match="2 does not divide"):
+        _divided_powers(_mat(3, {(0, 1): 1, (1, 2): 1}), "test")
+
+
+def _word(rep, letters, ring) -> Word:
+    roots = rep.system.roots
+    return Word(tuple(XSym(roots[i % len(roots)], ring.element(t)) for i, t in letters))
+
+
+# moduli below, around and past the int64 threshold of int64_safe (about
+# 1.5e9 for 4x4 blocks, 1.75e9 for 3x3) and past 2^64
+_MODULI = st.one_of(
+    st.integers(2, 10**4),
+    st.integers(10**9, 3 * 10**9),
+    st.integers(2**62, 2**66),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    tag=st.sampled_from(["A2", "C2"]),
+    letters=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(-(2**70), 2**70)), min_size=1, max_size=5
+    ),
+    n=_MODULI,
+)
+@example(tag="A2", letters=[(0, 2**64 + 12), (3, 3)], n=2**64 + 13)
+def test_exact_reduction_matches_numpy_backend(tag, letters, n):
+    rep = get_representation(tag)
+    Z, ring = Ring.integers(), Ring.mod(n)
+    exact = evaluate(_word(rep, letters, Z), rep, Z)
+    reduced = reduce_mod(exact, Ideal.of(Z, [n]))
+    modular = evaluate(_word(rep, letters, ring), rep, ring)
+    assert reduced.ring == ring and reduced.backend == modular.backend == "np"
+    assert reduced == modular
+    dtype = np.int64 if int64_safe(n, max(rep.block_dims)) else object
+    assert all(b.dtype == dtype for b in reduced.blocks)

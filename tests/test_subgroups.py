@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -326,3 +328,13 @@ def test_congruence_refusal_counts_the_sweeps_lifting_runs(monkeypatch):
     ring = Ring.mod(6)
     with pytest.raises(BoundExceeded, match="needs 19683 candidates"):
         enumerate_congruence_subgroup(A2, ring, Ideal.of(ring, [2]), bound=19682)
+
+
+def test_huge_ring_refused_before_listing_words():
+    ring = Ring.mod(1099511627791)
+    start = time.perf_counter()
+    report = verify_theorem("T1", "A2", ring, Ideal.of(ring, [1]), Ideal.of(ring, [1]))
+    assert time.perf_counter() - start < 1
+    assert report.verdict is None
+    assert report.error.startswith("EnumerationError: Z/1099511627791 is too large")
+    assert report.condition_star["theta_condition"] is True
