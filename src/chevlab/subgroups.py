@@ -3,10 +3,19 @@
 Everything here runs over Z/n with the natural A2 (3x3) and C2 (4x4)
 representations; G2 is deliberately unsupported at subgroup scale (the
 smallest admissible congruence kernels are far beyond desk scale) and the
-reports say so.  Elements are canonical residue matrices; membership works
-through packed byte keys, products through batched numpy arithmetic, and
-closures through breadth-first search over a minimal generating subset, so
-verdicts are deterministic and independent of chunk sizes.
+reports say so.  Elements are canonical residue matrices, products run
+through batched numpy arithmetic, and closures through breadth-first search
+over a minimal generating subset, so verdicts are deterministic and
+independent of chunk sizes.
+
+Membership and deduplication go through one code per matrix (``_codes``).
+When n^(dim^2) <= 2^64, which holds for A2 up to n = 138 and for C2 up to
+n = 16, the code is the uint64 mixed-radix number of the residues; past that
+limit it is the row of residues cast to the narrowest unsigned dtype that
+holds n - 1, viewed as one opaque byte string (16 bytes for C2 over Z/27).
+Both kinds sort, so a set is its insertion-ordered stack plus the sorted
+array of its codes: a lookup is one ``np.searchsorted`` and each batch of
+new elements is merged in one step.
 
 The statements are all about normal closures, and one engine serves them.
 ``closure``, ``normal_closure`` and ``commutator_subgroup`` share one body:
@@ -73,19 +82,35 @@ def _word_matrices(words: list[Word], rep: Representation, ring: Ring) -> np.nda
     if not words:
         dim = rep.block_dims[0]
         return np.eye(dim, dtype=np.int64)[None, :, :]
-    return _unique_rows(np.stack([evaluate(w, rep, ring).np_single() for w in words]))
+    mats = np.stack([evaluate(w, rep, ring).np_single() for w in words])
+    return _unique_rows(mats, ring.modulus)
 
 
-def _unique_rows(stack: np.ndarray) -> np.ndarray:
+def _codes(stack: np.ndarray, n: int) -> np.ndarray:
+    """One sortable key per residue matrix mod n, equal exactly when the
+    matrices are: the uint64 mixed-radix number of the residues when
+    n^(dim^2) <= 2^64, else the residues in the narrowest unsigned dtype
+    that holds n - 1, viewed as one byte string."""
+    width = stack.shape[1] * stack.shape[2]
+    flat = np.ascontiguousarray(stack, dtype=np.int64).reshape(len(stack), width)
+    # negative entries wrap past n in the unsigned view
+    if len(flat) and flat.view(np.uint64).max() >= n:
+        raise EnumerationError(f"matrices are not canonical residues mod {n}")
+    if n**width <= 1 << 64:
+        weights = np.array([n**i for i in range(width)], dtype=np.uint64)
+        return flat.view(np.uint64) @ weights
+    narrow = flat.astype(np.min_scalar_type(n - 1))
+    return narrow.view(np.dtype((np.void, narrow.itemsize * width))).ravel()
+
+
+def _unique_rows(stack: np.ndarray, n: int) -> np.ndarray:
     """The distinct matrices of the stack, in order of first occurrence."""
-    return stack if len(stack) < 2 else stack[_first_rows(stack)]
+    return stack if len(stack) < 2 else stack[_first_rows(stack, n)]
 
 
-def _first_rows(stack: np.ndarray) -> np.ndarray:
+def _first_rows(stack: np.ndarray, n: int) -> np.ndarray:
     """Ascending indices of the first occurrence of each distinct matrix."""
-    flat = np.ascontiguousarray(stack).reshape(len(stack), -1)
-    rows = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
-    _, first = np.unique(rows, return_index=True)
+    _, first = np.unique(_codes(stack, n), return_index=True)
     return np.sort(first)
 
 
@@ -97,12 +122,10 @@ def _batch_inverse(stack: np.ndarray, n: int) -> np.ndarray:
     if any(math.gcd(int(d), n) != 1 for d in dets):
         raise EnumerationError("non-invertible matrix in inverse batch")
     unit_inv = np.array([pow(int(d), -1, n) for d in dets], dtype=np.int64)[where]
-    minor_rows = [[r for r in range(dim) if r != i] for i in range(dim)]
+    minor_rows = [np.array([r for r in range(dim) if r != i]) for i in range(dim)]
     for i in range(dim):
         for j in range(dim):
-            rows = minor_rows[j]
-            cols = minor_rows[i]
-            minor = stack[:, rows][:, :, cols]
+            minor = stack[:, minor_rows[j][:, None], minor_rows[i]]
             cof = _batch_det(minor, n) * ((-1) ** (i + j))
             out[:, i, j] = cof % n
     return (out * unit_inv[:, None, None]) % n
@@ -115,10 +138,10 @@ def _batch_det(stack: np.ndarray, n: int) -> np.ndarray:
     if dim == 2:
         return (stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]) % n
     total = np.zeros(stack.shape[0], dtype=np.int64)
-    rows = list(range(1, dim))
+    rows = np.arange(1, dim)[:, None]
     for j in range(dim):
-        cols = [c for c in range(dim) if c != j]
-        minor = stack[:, rows][:, :, cols]
+        cols = np.array([c for c in range(dim) if c != j])
+        minor = stack[:, rows, cols]
         total = (total + ((-1) ** j) * stack[:, 0, j] * _batch_det(minor, n)) % n
     return total % n
 
@@ -130,55 +153,70 @@ class EnumeratedSubgroup:
         self.rep = rep
         self.ring = ring
         self.generators = list(generators)
-        self._keys: dict[bytes, int] = {}
         dim = rep.block_dims[0]
         self._stack = np.zeros((0, dim, dim), dtype=np.int64)
+        # the codes of the elements of _stack, ascending
+        self._sorted = _codes(self._stack, ring.modulus)
         self._min_gens: list[np.ndarray] = []
 
     # -- storage -------------------------------------------------------------
 
     @property
     def cardinality(self) -> int:
-        return len(self._keys)
+        return len(self._sorted)
 
     @property
     def stack(self) -> np.ndarray:
         return self._stack
 
-    def contains_array(self, arr: np.ndarray) -> bool:
-        return arr.tobytes() in self._keys
+    def _lookup(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Insertion points of the codes in the sorted set, and which of
+        them are members.  Ascending codes make the search cache-friendly."""
+        pos = np.searchsorted(self._sorted, codes)
+        if not len(self._sorted):
+            return pos, np.zeros(len(codes), dtype=bool)
+        return pos, self._sorted[np.minimum(pos, len(self._sorted) - 1)] == codes
 
-    @staticmethod
-    def _row_keys(stack: np.ndarray) -> list[bytes]:
-        blob = np.ascontiguousarray(stack).tobytes()
-        size = stack.itemsize * stack.shape[1] * stack.shape[2]
-        return [blob[i : i + size] for i in range(0, len(blob), size)]
+    def contains_array(self, arr: np.ndarray) -> bool:
+        return bool(self._lookup(_codes(arr[None], self.ring.modulus))[1][0])
 
     def contains_batch(self, stack: np.ndarray) -> np.ndarray:
-        keys = self._row_keys(stack)
-        return np.fromiter(
-            (k in self._keys for k in keys), dtype=bool, count=len(keys)
-        )
+        codes = _codes(stack, self.ring.modulus)
+        order = np.argsort(codes)
+        found = np.empty(len(codes), dtype=bool)
+        found[order] = self._lookup(codes[order])[1]
+        return found
 
-    def _add_batch(self, stack: np.ndarray, bound: int) -> list[int]:
-        fresh = []
-        for m, key in zip(stack, self._row_keys(stack)):
-            if key not in self._keys:
-                self._keys[key] = len(self._keys)
-                fresh.append(m)
-        if fresh:
-            if len(self._keys) > bound:
-                raise BoundExceeded(
-                    f"closure exceeded the element bound {bound}", len(self._keys)
-                )
-            self._stack = np.concatenate([self._stack, np.stack(fresh)])
-        return fresh
+    def _add_batch(self, stack: np.ndarray, bound: int) -> np.ndarray:
+        """Add the matrices not yet in the set, each once, in batch order;
+        returns them."""
+        codes, first = np.unique(_codes(stack, self.ring.modulus), return_index=True)
+        pos, found = self._lookup(codes)
+        fresh = ~found
+        if not fresh.any():
+            return stack[:0]
+        size = self.cardinality + int(fresh.sum())
+        if size > bound:
+            raise BoundExceeded(f"closure exceeded the element bound {bound}", size)
+        self._sorted = np.insert(self._sorted, pos[fresh], codes[fresh])
+        rows = stack[np.sort(first[fresh])]
+        self._stack = np.concatenate([self._stack, rows])
+        return rows
+
+    def _require_same_ring(self, other: "EnumeratedSubgroup") -> None:
+        if (self.rep.name, self.ring) != (other.rep.name, other.ring):
+            raise EnumerationError(
+                f"cannot compare a subgroup of {self.rep.name} over {self.ring} "
+                f"with one of {other.rep.name} over {other.ring}"
+            )
 
     def same_elements(self, other: "EnumeratedSubgroup") -> bool:
-        return self._keys.keys() == other._keys.keys()
+        self._require_same_ring(other)
+        return bool(np.array_equal(self._sorted, other._sorted))
 
     def is_subset_of(self, other: "EnumeratedSubgroup") -> bool:
-        return all(k in other._keys for k in self._keys)
+        self._require_same_ring(other)
+        return bool(other._lookup(self._sorted)[1].all())
 
     def _closed_under(self, gens) -> bool:
         """The identity is in, and every element times every one of the
@@ -237,23 +275,22 @@ class EnumeratedSubgroup:
                 continue
             self._min_gens.append(g % n)
             self._min_gens.append(ginv)
-            seed: list[np.ndarray] = []
+            seed = []
             for new_gen in (g % n, ginv):
                 for start in range(0, len(self._stack), _CHUNK):
                     prods = (self._stack[start : start + _CHUNK] @ new_gen) % n
-                    seed.extend(self._add_batch(prods, bound))
-            self._bfs(seed, bound)
+                    seed.append(self._add_batch(prods, bound))
+            self._bfs(np.concatenate(seed), bound)
 
-    def _bfs(self, seed: list[np.ndarray], bound: int) -> None:
+    def _bfs(self, frontier: np.ndarray, bound: int) -> None:
         n = self.ring.modulus
-        frontier = np.stack(seed) if seed else np.zeros((0,) + self._stack.shape[1:], dtype=np.int64)
         while len(frontier):
-            fresh: list[np.ndarray] = []
+            fresh = []
             for g in self._min_gens:
                 for start in range(0, len(frontier), _CHUNK):
                     prods = (frontier[start : start + _CHUNK] @ g) % n
-                    fresh.extend(self._add_batch(prods, bound))
-            frontier = np.stack(fresh) if fresh else np.zeros((0,) + self._stack.shape[1:], dtype=np.int64)
+                    fresh.append(self._add_batch(prods, bound))
+            frontier = np.concatenate(fresh)
 
     def missing_conjugates(
         self, conj: np.ndarray, gens: np.ndarray, conj_inv: np.ndarray | None = None
@@ -274,8 +311,8 @@ class EnumeratedSubgroup:
             c = conj[start : start + step, None]
             c_inv = conj_inv[start : start + step, None]
             images = (c @ gens[None] % n @ c_inv % n).reshape(-1, dim, dim)
-            outside.append(_unique_rows(images[~self.contains_batch(images)]))
-        return _unique_rows(np.concatenate(outside))
+            outside.append(_unique_rows(images[~self.contains_batch(images)], n))
+        return _unique_rows(np.concatenate(outside), n)
 
     def close_under_conjugation(
         self, conj_stack: np.ndarray, bound: int, conj_inv: np.ndarray | None = None
@@ -378,8 +415,8 @@ def commutator_subgroup(
     for h, hi in zip(h_stack, h_inv):
         for start in range(0, len(k_stack), _CHUNK):
             kc, kc_inv = k_stack[start : start + _CHUNK], k_inv[start : start + _CHUNK]
-            seeds.append(_unique_rows(h @ kc % n @ hi % n @ kc_inv % n))
-    seed = _unique_rows(np.concatenate(seeds))
+            seeds.append(_unique_rows(h @ kc % n @ hi % n @ kc_inv % n, n))
+    seed = _unique_rows(np.concatenate(seeds), n)
     conj, conj_inv = np.concatenate([h_stack, k_stack]), np.concatenate([h_inv, k_inv])
     return _normal_closure(rep, ring, words, seed, bound, conj, conj_inv)
 
@@ -476,7 +513,7 @@ def _congruence(
     # one element of each central class) plus sampled internal products
     probe = _word_matrices(elementary_level_words(rep.system.type_tag, ideal), rep, ring)
     if central:
-        probe = np.concatenate([probe, stack[_first_rows(stack % d)]])
+        probe = np.concatenate([probe, stack[_first_rows(stack % d, d)]])
     if not sub.audit_direct(probe):
         raise EnumerationError("congruence set is not closed")
     _CONGRUENCE_CACHE[cache_key] = sub

@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chevlab.factorize import mixed_commutator_generators, relative_generators
 from chevlab.reps import congruence_level_test, get_representation
@@ -14,6 +15,7 @@ from chevlab.subgroups import (
     _CONJ_CHUNK,
     _batch_det,
     _batch_inverse,
+    _codes,
     _sweep_congruence,
     _word_matrices,
     closure,
@@ -26,6 +28,7 @@ from chevlab.subgroups import (
 )
 from chevlab.words import Word, x_word
 from congruence_oracle import full_congruence_by_closure
+from membership_oracle import ByteKeySubgroup
 
 Z4 = Ring.mod(4)
 Z8 = Ring.mod(8)
@@ -93,7 +96,7 @@ def test_lifted_congruence_matches_sweep(rep, n, d):
     [
         pytest.param(rep, p, k, a, id=f"{rep.name}-Z{p**k}-({p**a})")
         for rep, p, k, a in [
-            (A2, 2, 2, 1), (A2, 2, 3, 1), (A2, 2, 4, 2), (A2, 3, 3, 2),
+            (A2, 2, 2, 1), (A2, 2, 3, 1), (A2, 2, 4, 2), (A2, 3, 3, 2), (A2, 5, 2, 1),
             (C2, 2, 3, 2), (C2, 2, 5, 4), (C2, 3, 2, 1), (C2, 3, 3, 2),
         ]
     ],
@@ -338,3 +341,122 @@ def test_huge_ring_refused_before_listing_words():
     assert report.verdict is None
     assert report.error.startswith("EnumerationError: Z/1099511627791 is too large")
     assert report.condition_star["theta_condition"] is True
+
+
+# moduli on both sides of the one-word limit n^(dim^2) <= 2^64, and wide ones
+_MEMBERSHIP_CASES = [(A2, 138), (A2, 139), (C2, 16), (C2, 17), (C2, 27), (A2, 243)]
+
+
+@pytest.mark.parametrize(
+    "rep,n",
+    [
+        pytest.param(rep, n, id=f"{rep.name}-Z{n}")
+        for rep, n in _MEMBERSHIP_CASES + [(A2, 257), (C2, 65537)]
+    ],
+)
+def test_codes_decode_to_the_residues(rep, n):
+    # one uint64 word up to the limit, then the residues in the narrowest
+    # unsigned dtype (uint16 past 256, uint32 past 65536) as a byte string
+    dim = rep.block_dims[0]
+    rng = np.random.default_rng(n)
+    extremes = np.stack([np.full((dim, dim), n - 1), np.zeros((dim, dim), dtype=np.int64)])
+    stack = np.concatenate([extremes, rng.integers(0, n, (50, dim, dim))])
+    codes = _codes(stack, n)
+    flat = stack.reshape(len(stack), -1)
+    if n ** (dim * dim) <= 2**64:
+        assert codes.dtype == np.uint64 and int(codes[0]) == n ** (dim * dim) - 1
+        digits = [[int(c) // n**i % n for i in range(dim * dim)] for c in codes]
+    else:
+        narrow = np.min_scalar_type(n - 1)
+        assert codes.dtype.kind == "V" and codes.itemsize == dim * dim * narrow.itemsize
+        digits = np.frombuffer(codes.tobytes(), dtype=narrow).reshape(len(stack), -1).tolist()
+    assert digits == flat.tolist()
+    for bad in (-1, n):
+        with pytest.raises(EnumerationError, match=f"mod {n}"):
+            _codes(stack[:1] * 0 + bad, n)
+
+
+@st.composite
+def _membership_script(draw):
+    rep, n = draw(st.sampled_from(_MEMBERSHIP_CASES))
+    dim = rep.block_dims[0]
+    entries = st.lists(st.integers(0, n - 1), min_size=dim * dim, max_size=dim * dim)
+    pool = draw(st.lists(entries, min_size=1, max_size=10))
+    pool += [[0] * dim * dim, [n - 1] * dim * dim]
+    picks = st.lists(st.integers(0, len(pool) - 1), max_size=16)
+    return (
+        rep,
+        n,
+        np.array(pool, dtype=np.int64).reshape(-1, dim, dim),
+        draw(st.lists(picks, min_size=1, max_size=5)),
+        draw(st.lists(picks, min_size=1, max_size=5)),
+        draw(picks),
+        draw(st.integers(1, len(pool))),
+    )
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(script=_membership_script())
+def test_sorted_codes_match_byte_key_oracle(script):
+    rep, n, pool, batches, other_batches, queries, bound = script
+    ring = Ring.mod(n)
+
+    def build(cls, picks, bound):
+        sub, added = cls(rep, ring, []), []
+        for idx in picks:
+            added.append(sub._add_batch(pool[np.array(idx, dtype=np.intp)], bound))
+        return sub, added
+
+    def bound_error(cls):
+        try:
+            build(cls, batches, bound)
+        except BoundExceeded as exc:
+            return str(exc), exc.partial
+        return None
+
+    assert bound_error(EnumeratedSubgroup) == bound_error(ByteKeySubgroup)
+    (fast, fast_added), (slow, slow_added) = (
+        build(cls, batches, len(pool)) for cls in (EnumeratedSubgroup, ByteKeySubgroup)
+    )
+    assert [a.tolist() for a in fast_added] == [a.tolist() for a in slow_added]
+    assert np.array_equal(fast.stack, slow.stack)
+    assert fast.cardinality == slow.cardinality == len(fast.stack)
+    probe = pool[np.array(queries, dtype=np.intp)]
+    assert np.array_equal(fast.contains_batch(probe), slow.contains_batch(probe))
+    fast_other = build(EnumeratedSubgroup, other_batches, len(pool))[0]
+    slow_other = build(ByteKeySubgroup, other_batches, len(pool))[0]
+    assert fast.same_elements(fast_other) == slow.same_elements(slow_other)
+    assert fast.is_subset_of(fast_other) == slow.is_subset_of(slow_other)
+    assert fast_other.is_subset_of(fast) == slow_other.is_subset_of(slow)
+
+
+@pytest.mark.parametrize(
+    "rep,n,d,size",
+    [
+        pytest.param(rep, n, d, size, id=f"{rep.name}-Z{n}-({d})")
+        for rep, n, d, size in [(A2, 8, 2, 2**14), (A2, 243, 81, 3**6), (C2, 27, 9, 3**8)]
+    ],
+)
+def test_closure_order_matches_byte_key_oracle(rep, n, d, size):
+    # E(R, (d)) keyed by one word (Z/8) and by byte strings (Z/243, Z/27)
+    ring = Ring.mod(n)
+    gens = _word_matrices(elementary_level_words(rep.name, Ideal.of(ring, [d])), rep, ring)
+    fast, slow = EnumeratedSubgroup(rep, ring, []), ByteKeySubgroup(rep, ring, [])
+    for sub in (fast, slow):
+        sub.close_over(gens, bound=10**6)
+    assert fast.cardinality == slow.cardinality == size
+    assert np.array_equal(fast.stack, slow.stack)
+    assert fast.audit_closure() and slow.audit_closure()
+
+
+def test_comparing_subgroups_over_different_rings_refused():
+    a2_z4, a2_z8, c2_z4 = closure([], A2, Z4), closure([], A2, Z8), closure([], C2, Z4)
+    for this, other, pattern in [
+        (a2_z4, a2_z8, "A2 over Z/4 .* A2 over Z/8"),
+        (a2_z4, c2_z4, "A2 over Z/4 .* C2 over Z/4"),
+    ]:
+        with pytest.raises(EnumerationError, match=pattern):
+            this.same_elements(other)
+        with pytest.raises(EnumerationError, match=pattern):
+            this.is_subset_of(other)
+    assert a2_z4.same_elements(closure([], A2, Z4))
