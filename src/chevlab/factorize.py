@@ -201,12 +201,6 @@ class CertifiedFactorization:
     case: MainLemmaCase
     alpha: Root
 
-    def product_word(self) -> Word:
-        out = Word(())
-        for word, _ in self.factors:
-            out = out * word
-        return out
-
     def verify(self, rep: Representation, ring: Ring, ideal_i: Ideal, ideal_j: Ideal) -> bool:
         lhs = evaluate(self.target, rep, ring)
         rhs = rep.identity(ring)

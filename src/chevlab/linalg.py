@@ -77,10 +77,3 @@ class ExactMatrix:
             if len(row) != 1 or row.get(i) != one:
                 return False
         return True
-
-    def to_nested(self) -> list[list[RingElement]]:
-        zero = self.ring.zero
-        return [
-            [self.rows[i].get(j, zero) for j in range(self.dim)]
-            for i in range(self.dim)
-        ]

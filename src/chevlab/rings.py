@@ -215,18 +215,6 @@ class Ring:
             self._pack(self._unpack(next(m for m in d if m & self._guards)))
         return RingElement(self, d)
 
-    # -- global properties -------------------------------------------------
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "Zn"
-
-    @property
-    def size(self) -> int:
-        if self.kind != "Zn":
-            raise InfiniteRing(str(self))
-        return self.modulus
-
     def __str__(self) -> str:
         if self.kind == "Z":
             return "Z"
@@ -283,10 +271,6 @@ class RingElement:
     @property
     def is_zero(self) -> bool:
         return not self.payload
-
-    @property
-    def is_one(self) -> bool:
-        return self == self.ring.one
 
     @property
     def terms(self) -> tuple:

@@ -82,10 +82,6 @@ class Root:
         return g[0][0] * m * m + 2 * g[0][1] * m * n + g[1][1] * n * n
 
     @property
-    def is_positive(self) -> bool:
-        return self.coords in _SYSTEM_DATA[self.system]["positives"]
-
-    @property
     def height(self) -> int:
         return self.coords[0] + self.coords[1]
 

@@ -39,6 +39,19 @@ every central class lifts whether or not it has a scalar lift, and
 |C(R, I)| = |Z(G(Z/d))| |G(R, I)|.  The primes are joined by the Chinese
 remainder theorem.  The full sweep over 1 + dM survives only as
 ``_sweep_congruence``, the base-layer step and the tests' oracle.
+
+A lifted set S at level d is audited before it is cached by what the
+lifting claims, not by sampled products: (1) every element satisfies the
+group equations mod n; (2) each is 1 mod d, or for C a scalar mod d; (3) none
+is listed twice; (4) |S| is the closed form, |base layer| p^((k - level)
+dim G) at each p^k with dim G = |roots| + 2, not a count of the lifts; (5)
+1 is in S and S g is inside S for g = x_a(d), one per root (for C also one
+element of each central class).  Checks 1-4 put |G(R, I)| distinct elements
+in G(R, I), or |C(R, I)| in C(R, I), so S is the group, closed under
+products and inverses; that rests only on |G(Z/p^k, (p^a))| =
+p^((k - a) dim G), which smoothness gives.  Check 5 is a cross-check.  A
+failed check raises EnumerationError naming it, G or C, the type, the ring
+and the level.
 """
 from __future__ import annotations
 
@@ -235,23 +248,18 @@ class EnumeratedSubgroup:
         """Full pass: every element times every minimal generator stays in."""
         return self._closed_under(self._min_gens)
 
-    def audit_direct(self, probe: np.ndarray, seed: int = 0, pairs: int = 20000) -> bool:
-        """Audit for exhaustively enumerated sets: identity and all inverses
-        present, closed under the probe generators, and under a seeded
-        sample of internal products."""
+    def audit_direct(self, probe: np.ndarray) -> bool:
+        """Audit of a set listed by lifting rather than closed: every element
+        satisfies the group equations, 1 is in, and every element times every
+        probe matrix stays in.  True, or EnumerationError naming the check
+        that failed."""
         n = self.ring.modulus
-        if not self._closed_under(probe):
-            return False
         for start in range(0, len(self._stack), _CHUNK):
-            invs = _batch_inverse(self._stack[start : start + _CHUNK], n)
-            if not self.contains_batch(invs).all():
-                return False
-        rng = np.random.default_rng(seed)
-        size = self.cardinality
-        left = self._stack[rng.integers(0, size, pairs)]
-        right = self._stack[rng.integers(0, size, pairs)]
-        prods = np.einsum("nij,njk->nik", left, right) % n
-        return bool(self.contains_batch(prods).all())
+            if not _group_equation_mask(self.rep, self._stack[start : start + _CHUNK], n).all():
+                raise EnumerationError(f"group equations check failed (an element is not in {self.rep.name})")
+        if not self._closed_under(probe):
+            raise EnumerationError("closure check failed (1 or a product with the probe is missing)")
+        return True
 
     def generators_hash(self) -> str:
         payload = "\n".join(word_to_sexpr(w) for w in self.generators).encode()
@@ -452,8 +460,9 @@ def enumerate_congruence_subgroup(
 ) -> EnumeratedSubgroup:
     """The principal congruence subgroup G(R, I): all matrices congruent to
     1 mod the ideal that satisfy the group equations.  Built by lifting along
-    the p-adic filtration of each prime power of the modulus (see the module
-    docstring), and audited before it is cached.  Refused when the base-layer
+    the p-adic filtration of each prime power of the modulus, and audited
+    before it is cached by the exact checks of the module docstring.
+    Refused when the base-layer
     sweeps, p^(dim^2) matrices for each prime p dividing n but not d, or the
     elements to keep exceed the bound."""
     return _congruence(rep, ring, ideal, bound, central=False)
@@ -505,36 +514,50 @@ def _congruence(
         raise BoundExceeded(
             f"congruence enumeration needs {count} candidates (> {bound})", 0
         )
-    stack = _lift_congruence(rep, n, d, bound, central)
+    stack, size = _lift_congruence(rep, n, d, bound, central)
     sub = EnumeratedSubgroup(rep, ring, [])
     sub._add_batch(stack, bound)
-    # every lift of every base-layer element is listed exactly once, so the
-    # set is the full preimage; audit with the level generators (and for C
-    # one element of each central class) plus sampled internal products
-    probe = _word_matrices(elementary_level_words(rep.system.type_tag, ideal), rep, ring)
+    # the audit of the module docstring: checks 2-4 here, 1 and 5 in
+    # audit_direct; for the level, one element of each class mod d
+    where = f"lifted {'C' if central else 'G'}({ring}, {ideal}) of {rep.name}"
+    classes = stack[_first_rows(stack % d, d)]
+    scalars = (classes[:, :1, :1] if central else 1) * np.eye(dim, dtype=np.int64)
+    if np.any(classes % d != scalars % d):
+        kind = "scalar" if central else "1"
+        raise EnumerationError(f"{where}: level check failed (an element is not {kind} mod {d})")
+    if sub.cardinality != len(stack):
+        raise EnumerationError(f"{where}: distinctness check failed ({len(stack)} listed)")
+    if sub.cardinality != size:
+        raise EnumerationError(f"{where}: count check failed ({sub.cardinality}, not {size})")
+    probe = _word_matrices(_root_words(rep.system.type_tag, [ring.element(d)]), rep, ring)
     if central:
-        probe = np.concatenate([probe, stack[_first_rows(stack % d, d)]])
-    if not sub.audit_direct(probe):
-        raise EnumerationError("congruence set is not closed")
+        probe = np.concatenate([probe, classes])
+    try:
+        sub.audit_direct(probe)
+    except EnumerationError as exc:
+        raise EnumerationError(f"{where}: {exc}") from None
     _CONGRUENCE_CACHE[cache_key] = sub
     return sub
 
 
 def _lift_congruence(
     rep: Representation, n: int, d: int, bound: int, central: bool
-) -> np.ndarray:
-    """G(Z/n, (d)) for d | n, or C(Z/n, (d)) when central, as
-    canonical residue matrices sorted by the mixed-radix index of
-    (g - 1) mod n; for G that is the order of the sweep.
+) -> tuple[np.ndarray, int]:
+    """G(Z/n, (d)) for d | n, or C(Z/n, (d)) when central, as canonical
+    residue matrices sorted by the mixed-radix index of (g - 1) mod n (for G
+    the order of the sweep), and the closed-form size of that group.
 
     The base layer at each p^a exactly dividing d, a >= 1, is {1}, or the
     centre of G(Z/p^a) when central; at a prime not dividing d it is G(F_p).
-    Refused before a prime's layers are built when the elements would exceed
-    the bound: each element of a layer has p^(dim G) lifts, the solutions of
-    the linearised equations, since SL3 and Sp4 are smooth over Z_p."""
+    SL3 and Sp4 are smooth over Z_p, so each element of G(Z/p^m) has
+    p^(dim G) lifts, the solutions of the linearised equations, and the group
+    has |base layer| p^(dim G (k - level)) elements at p^k; the size is the
+    product over the primes.  It is counted from dim G, not from the lifts,
+    and refused before a prime's layers are built when it exceeds the bound."""
     dim = rep.block_dims[0]
+    dim_g = len(rep.system.roots) + rep.system.rank
     ident = np.eye(dim, dtype=np.int64)
-    stack, modulus = ident[None], 1
+    stack, modulus, size = ident[None], 1, 1
     for p, k in _prime_powers(n):
         a = 0
         while a < k and d % p ** (a + 1) == 0:
@@ -543,12 +566,11 @@ def _lift_congruence(
             layer, level = (_central_scalars(rep, p**a) if central else ident[None]), a
         else:
             layer, level = _sweep_congruence(rep, p, 1), 1
-        size = len(stack) * len(layer)
-        if level < k:
-            solver = _solve_mod_p(_linearised_equations(rep, p), p)
-            size *= p ** (len(solver[2]) * (k - level))
+        size *= len(layer) * p ** (dim_g * (k - level))
         if size > bound:
             raise BoundExceeded(f"congruence subgroup has {size} elements (> {bound})", 0)
+        if level < k:
+            solver = _solve_mod_p(_linearised_equations(rep, p), p)
         for m in range(level, k):
             layer = _lift_layer(rep, layer, p, m, solver)
         # Chinese remainder: x = s mod modulus, x = t mod p^k
@@ -560,7 +582,7 @@ def _lift_congruence(
         ).reshape(-1, dim, dim) % joint
         modulus = joint
     digits = ((stack - ident) % n).reshape(len(stack), -1)
-    return stack[np.lexsort(digits.T)]
+    return stack[np.lexsort(digits.T)], size
 
 
 def _central_scalars(rep: Representation, q: int) -> np.ndarray:
@@ -777,8 +799,17 @@ def verify_theorem(
 
 def _dispatch_theorem(statement, system_tag, ring, ideal_i, ideal_j, bound, candidate_bound, report):
     rep = get_representation(system_tag)
-    # refuse before listing the |roots|·|I| level words of a ring too large
+    # refuse a ring too large for int64 products, then more words than the
+    # bound: the level words, and T1's relative, O1's of IJ or O2's absolute
     _require_enumerable(rep, ring)
+    n, roots = ring.modulus, len(rep.system.roots)
+    size_i, size_j = n // ideal_i.gens[0], n // ideal_j.gens[0]
+    size_ij = n // ideal_i.product(ideal_j).gens[0]
+    listed = {"T1": (size_i + size_j) * n, "O1": size_ij * n, "O2": n - 1}
+    words = roots * (size_i - 1 + size_j - 1 + listed.get(statement, 0))
+    if words > bound:
+        message = f"{statement} for {system_tag} over {ring} lists {words} generator words"
+        raise BoundExceeded(f"{message} (> {bound})", 0)
     e_i = elementary_level_words(system_tag, ideal_i)
     e_j = elementary_level_words(system_tag, ideal_j)
     if statement == "T1":

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chevlab import subgroups
 from chevlab.factorize import mixed_commutator_generators, relative_generators
 from chevlab.reps import congruence_level_test, get_representation
 from chevlab.rings import Ideal, Ring
@@ -333,6 +334,52 @@ def test_congruence_refusal_counts_the_sweeps_lifting_runs(monkeypatch):
         enumerate_congruence_subgroup(A2, ring, Ideal.of(ring, [2]), bound=19682)
 
 
+def _replace_last(stack, matrix):
+    return np.concatenate([stack[:-1], matrix[None] % 9])
+
+
+_EYE4 = np.eye(4, dtype=np.int64)
+_LIFT = subgroups._lift_congruence
+# each corruption of the lifted stack of C2/Z9/(3), and the audit check that
+# must refuse it; the closed form the lifting returns is kept
+_CORRUPTIONS = {
+    "off-the-group": (lambda s: _replace_last(s, s[-1] + 3 * _EYE4), "group equations"),
+    "duplicated": (lambda s: np.concatenate([s, s[:1]]), "distinctness"),
+    "dropped": (lambda s: s[:-1], "count"),
+    "root-element": (
+        lambda s: _replace_last(s, _word_matrices([x_word(C2.system.roots[0], Z9.one)], C2, Z9)[0]),
+        "level",
+    ),
+    "minus-one": (lambda s: _replace_last(s, -_EYE4), "level"),
+    "G-as-C": (lambda s: _LIFT(C2, 9, 3, 10**8, False)[0], "count"),
+}
+
+
+@pytest.mark.parametrize(
+    "central,corruption",
+    [
+        (False, "off-the-group"), (True, "off-the-group"),
+        (False, "duplicated"), (True, "duplicated"),
+        (False, "dropped"), (True, "dropped"),
+        (True, "root-element"), (False, "minus-one"), (True, "G-as-C"),
+    ],
+)
+def test_lifted_congruence_audit_refuses_corruption(monkeypatch, central, corruption):
+    monkeypatch.setattr(subgroups, "_CONGRUENCE_CACHE", {})
+    corrupt, check = _CORRUPTIONS[corruption]
+
+    def corrupted(*args):
+        stack, size = _LIFT(*args)
+        return corrupt(stack), size
+
+    monkeypatch.setattr(subgroups, "_lift_congruence", corrupted)
+    build = enumerate_full_congruence if central else enumerate_congruence_subgroup
+    kind = "C" if central else "G"
+    with pytest.raises(EnumerationError, match=rf"lifted {kind}\(Z/9, \(3\)\) of C2: {check} check failed"):
+        build(C2, Z9, Ideal.of(Z9, [3]))
+    assert not subgroups._CONGRUENCE_CACHE
+
+
 def test_huge_ring_refused_before_listing_words():
     ring = Ring.mod(1099511627791)
     start = time.perf_counter()
@@ -341,6 +388,34 @@ def test_huge_ring_refused_before_listing_words():
     assert report.verdict is None
     assert report.error.startswith("EnumerationError: Z/1099511627791 is too large")
     assert report.condition_star["theta_condition"] is True
+
+
+def test_many_words_refused_before_listing_them():
+    # 6 * 100002 * 2 level words and 6 * 100003^2 * 2 relative words
+    ring = Ring.mod(100003)
+    start = time.perf_counter()
+    report = verify_theorem("T1", "A2", ring, Ideal.of(ring, [1]), Ideal.of(ring, [1]))
+    assert time.perf_counter() - start < 1
+    assert report.verdict is None
+    assert report.error == (
+        "BoundExceeded: T1 for A2 over Z/100003 lists 120008400132 generator words (> 1000000)"
+    )
+
+
+@pytest.mark.parametrize(
+    "stmt,words",
+    # A2/Z8, |I| = 4, |J| = 2, IJ = 0: 6 * 3 + 6 * 1 level words, then T1's
+    # 6 * (4 + 2) * 8 relative words, O1's 6 * 1 * 8 and O2's 6 * 7 absolute
+    [("T1", 312), ("T2", 24), ("T3", 24), ("O1", 72), ("O2", 66)],
+)
+def test_listed_words_counted_against_the_bound(stmt, words):
+    ideal_i, ideal_j = Ideal.of(Z8, [2]), Ideal.of(Z8, [4])
+    report = verify_theorem(stmt, "A2", Z8, ideal_i, ideal_j, bound=words - 1)
+    assert report.error == (
+        f"BoundExceeded: {stmt} for A2 over Z/8 lists {words} generator words (> {words - 1})"
+    )
+    report = verify_theorem(stmt, "A2", Z8, ideal_i, ideal_j, bound=words)
+    assert "generator words" not in (report.error or "")
 
 
 # moduli on both sides of the one-word limit n^(dim^2) <= 2^64, and wide ones
