@@ -529,12 +529,24 @@ def mixed_commutator_generators(
     """The three generator families of the mixed commutator subgroup.
 
     Bullets two and three carry immediate certificates; bullet one is the
-    main lemma's subject and is emitted unproven.
+    main lemma's subject and is emitted unproven.  Refused with
+    BoundExceeded, before anything is listed, when the 3 |Phi| |I| |J| n
+    words exceed the default element bound of subgroup enumeration.
     """
+    from .subgroups import DEFAULT_ELEMENT_BOUND, BoundExceeded
+
     ring = ideal_i.ring
     if ring.kind != "Zn":
         raise InfiniteRing("mixed generators need a finite ring")
     system = get_system(system_tag)
+    n = ring.modulus
+    words = 3 * len(system.roots) * (n // ideal_i.gens[0]) * (n // ideal_j.gens[0]) * n
+    if words > DEFAULT_ELEMENT_BOUND:
+        raise BoundExceeded(
+            f"mixed generators for {system_tag} over {ring} list {words} words "
+            f"(> {DEFAULT_ELEMENT_BOUND})",
+            0,
+        )
     star = condition_star(system_tag, ring)
     warnings = []
     if star.applies and star.satisfied is False:

@@ -24,7 +24,10 @@ conjugators, audit.  The only conjugation loop is
 ``EnumeratedSubgroup.missing_conjugates``, the distinct c g c^-1 outside the
 set: the closure loops on it, and T3 and O2 are one call each (nothing
 missing is the verdict).  ``commutator_subgroup`` takes K as generator words
-or as an enumerated stack, so T2 passes all of C(R, J) as it is.
+or as a stack of generating matrices.  T2 and T3 pass C(R, J) and C(R, I) by
+the generating set of their lifting, not by their elements: [H, K] is the
+normal closure in <H, K> of the commutators of generators, and in a finite
+group c E c^-1 inside E for each generator c of C puts C in the normaliser.
 
 Principal congruence subgroups G(Z/n, (d)) and full congruence subgroups
 C(Z/n, (d)), the preimage of the centre of G(Z/d), come from one lifting,
@@ -38,20 +41,25 @@ smooth over Z_p, so every element of G(Z/p^m) lifts, each in p^(dim G) ways:
 every central class lifts whether or not it has a scalar lift, and
 |C(R, I)| = |Z(G(Z/d))| |G(R, I)|.  The primes are joined by the Chinese
 remainder theorem.  The full sweep over 1 + dM survives only as
-``_sweep_congruence``, the base-layer step and the tests' oracle.
+``_sweep_congruence``, the base-layer step and the tests' oracle.  The
+lifting also yields a generating set, kept as the set's ``generator_stack``:
+one lift of 1 + p^m z for each basis row z of each layer m, one lift of each
+central scalar for C, and the x_a(1) at a prime not dividing d.  G(R, I) is
+taken from a cached C(R, I) at the same level, as its elements 1 mod d.
 
 A lifted set S at level d is audited before it is cached by what the
 lifting claims, not by sampled products: (1) every element satisfies the
 group equations mod n; (2) each is 1 mod d, or for C a scalar mod d; (3) none
 is listed twice; (4) |S| is the closed form, |base layer| p^((k - level)
 dim G) at each p^k with dim G = |roots| + 2, not a count of the lifts; (5)
-1 is in S and S g is inside S for g = x_a(d), one per root (for C also one
-element of each central class).  Checks 1-4 put |G(R, I)| distinct elements
+1 is in S and S g is inside S for each generator g of the lifting, so the
+group they generate lies in S.  Checks 1-4 put |G(R, I)| distinct elements
 in G(R, I), or |C(R, I)| in C(R, I), so S is the group, closed under
 products and inverses; that rests only on |G(Z/p^k, (p^a))| =
 p^((k - a) dim G), which smoothness gives.  Check 5 is a cross-check.  A
 failed check raises EnumerationError naming it, G or C, the type, the ring
-and the level.
+and the level.  G(R, I) taken from a cached C(R, I) is checked for
+distinctness and for the count |C(R, I)| over the number of central scalars.
 """
 from __future__ import annotations
 
@@ -406,8 +414,8 @@ def commutator_subgroup(
     bound: int = DEFAULT_ELEMENT_BOUND,
 ) -> EnumeratedSubgroup:
     """[H, K] as the normal closure in <H, K> of the commutators [h, k],
-    h over the generators of H.  K is given by generator words, or as an
-    enumerated stack of all its elements, which then serve as generators."""
+    h and k over the generators of H and K.  K is given by generator words,
+    or as a stack of matrices that generate it (all its elements will do)."""
     _require_enumerable(rep, ring)
     n = ring.modulus
     words = list(h_gens)
@@ -461,8 +469,8 @@ def enumerate_congruence_subgroup(
     """The principal congruence subgroup G(R, I): all matrices congruent to
     1 mod the ideal that satisfy the group equations.  Built by lifting along
     the p-adic filtration of each prime power of the modulus, and audited
-    before it is cached by the exact checks of the module docstring.
-    Refused when the base-layer
+    before it is cached by the exact checks of the module docstring, or
+    taken from C(R, I) when that is cached.  Refused when the base-layer
     sweeps, p^(dim^2) matrices for each prime p dividing n but not d, or the
     elements to keep exceed the bound."""
     return _congruence(rep, ring, ideal, bound, central=False)
@@ -504,48 +512,62 @@ def _congruence(
     n = ring.modulus
     (d,) = ideal.gens
     dim = rep.block_dims[0]
-    # the base layers' candidates: p^(dim^2) matrices at each prime p not
-    # dividing d, and for C the p^a scalars at each p^a exactly dividing d
+    ident = np.eye(dim, dtype=np.int64)
     primes = _prime_powers(n)
-    count = sum(p ** (dim * dim) for p, _ in primes if d % p)
-    if central:
-        count += sum(math.gcd(d, p**k) for p, k in primes if d % p == 0)
-    if count > bound:
-        raise BoundExceeded(
-            f"congruence enumeration needs {count} candidates (> {bound})", 0
+    where = f"lifted {'C' if central else 'G'}({ring}, {ideal}) of {rep.name}"
+    cfull = None if central else _CONGRUENCE_CACHE.get(cache_key + ("C",))
+    if cfull is not None:
+        # G(R, I) is the part of the audited C(R, I) that is 1 mod d, already
+        # in G's order, and so are its generators but the central lifts;
+        # |C|/|G| is the number of central scalars of G(Z/p^a) at each p^a
+        # exactly dividing d
+        stack, gens = cfull.stack, cfull.generator_stack()
+        stack = stack[np.all((stack - ident) % d == 0, axis=(1, 2))]
+        gens = gens[np.all((gens - ident) % d == 0, axis=(1, 2))]
+        size = cfull.cardinality // math.prod(
+            len(_central_scalars(rep, math.gcd(d, p**k))) for p, k in primes if d % p == 0
         )
-    stack, size = _lift_congruence(rep, n, d, bound, central)
+    else:
+        # the base layers' candidates: p^(dim^2) matrices at each prime p not
+        # dividing d, and for C the p^a scalars at each p^a exactly dividing d
+        count = sum(p ** (dim * dim) for p, _ in primes if d % p)
+        if central:
+            count += sum(math.gcd(d, p**k) for p, k in primes if d % p == 0)
+        if count > bound:
+            raise BoundExceeded(
+                f"congruence enumeration needs {count} candidates (> {bound})", 0
+            )
+        stack, size, gens = _lift_congruence(rep, n, d, bound, central)
+        # the audit of the module docstring: checks 2-4 here, 1 and 5 in
+        # audit_direct; for the level, one element of each class mod d
+        classes = stack[_first_rows(stack % d, d)]
+        scalars = (classes[:, :1, :1] if central else 1) * ident
+        if np.any(classes % d != scalars % d):
+            kind = "scalar" if central else "1"
+            raise EnumerationError(f"{where}: level check failed (an element is not {kind} mod {d})")
     sub = EnumeratedSubgroup(rep, ring, [])
     sub._add_batch(stack, bound)
-    # the audit of the module docstring: checks 2-4 here, 1 and 5 in
-    # audit_direct; for the level, one element of each class mod d
-    where = f"lifted {'C' if central else 'G'}({ring}, {ideal}) of {rep.name}"
-    classes = stack[_first_rows(stack % d, d)]
-    scalars = (classes[:, :1, :1] if central else 1) * np.eye(dim, dtype=np.int64)
-    if np.any(classes % d != scalars % d):
-        kind = "scalar" if central else "1"
-        raise EnumerationError(f"{where}: level check failed (an element is not {kind} mod {d})")
     if sub.cardinality != len(stack):
         raise EnumerationError(f"{where}: distinctness check failed ({len(stack)} listed)")
     if sub.cardinality != size:
         raise EnumerationError(f"{where}: count check failed ({sub.cardinality}, not {size})")
-    probe = _word_matrices(_root_words(rep.system.type_tag, [ring.element(d)]), rep, ring)
-    if central:
-        probe = np.concatenate([probe, classes])
-    try:
-        sub.audit_direct(probe)
-    except EnumerationError as exc:
-        raise EnumerationError(f"{where}: {exc}") from None
+    sub._min_gens = list(gens)
+    if cfull is None:
+        try:
+            sub.audit_direct(gens)
+        except EnumerationError as exc:
+            raise EnumerationError(f"{where}: {exc}") from None
     _CONGRUENCE_CACHE[cache_key] = sub
     return sub
 
 
 def _lift_congruence(
     rep: Representation, n: int, d: int, bound: int, central: bool
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, np.ndarray]:
     """G(Z/n, (d)) for d | n, or C(Z/n, (d)) when central, as canonical
     residue matrices sorted by the mixed-radix index of (g - 1) mod n (for G
-    the order of the sweep), and the closed-form size of that group.
+    the order of the sweep), the closed-form size of that group, and a
+    generating set of it.
 
     The base layer at each p^a exactly dividing d, a >= 1, is {1}, or the
     centre of G(Z/p^a) when central; at a prime not dividing d it is G(F_p).
@@ -553,26 +575,41 @@ def _lift_congruence(
     p^(dim G) lifts, the solutions of the linearised equations, and the group
     has |base layer| p^(dim G (k - level)) elements at p^k; the size is the
     product over the primes.  It is counted from dim G, not from the lifts,
-    and refused before a prime's layers are built when it exceeds the bound."""
+    and refused before a prime's layers are built when it exceeds the bound.
+
+    The generators at p^k are one lift of each central scalar for C, the
+    x_a(1) when p does not divide d (they generate G(F_p)), and for each
+    layer m and each basis row z of its solutions one lift of 1 + p^m z,
+    each carried to p^k by the particular solution of every later layer and
+    placed at p^k with 1 at the other primes.  The images of the 1 + p^m z
+    span G(p^m)/G(p^(m+1)), whose size the count ties to p^(dim G), so by
+    descending induction on m they generate the kernel; the base generators
+    cover the base layer.  No layer is listed to find them."""
     dim = rep.block_dims[0]
     dim_g = len(rep.system.roots) + rep.system.rank
     ident = np.eye(dim, dtype=np.int64)
-    stack, modulus, size = ident[None], 1, 1
+    stack, gens, modulus, size = ident[None], ident[None][:0], 1, 1
     for p, k in _prime_powers(n):
         a = 0
         while a < k and d % p ** (a + 1) == 0:
             a += 1
         if a:
             layer, level = (_central_scalars(rep, p**a) if central else ident[None]), a
+            prime_gens = layer
         else:
             layer, level = _sweep_congruence(rep, p, 1), 1
+            ring = Ring.mod(p**k)
+            prime_gens = _word_matrices(_root_words(rep.system.type_tag, [ring.one]), rep, ring)
         size *= len(layer) * p ** (dim_g * (k - level))
         if size > bound:
             raise BoundExceeded(f"congruence subgroup has {size} elements (> {bound})", 0)
         if level < k:
             solver = _solve_mod_p(_linearised_equations(rep, p), p)
+            particular = solver[:2] + (solver[2][:0],)
         for m in range(level, k):
             layer = _lift_layer(rep, layer, p, m, solver)
+            step = (ident + p**m * solver[2].reshape(-1, dim, dim)) % p ** (m + 1)
+            prime_gens = np.concatenate([_lift_layer(rep, prime_gens, p, m, particular), step])
         # Chinese remainder: x = s mod modulus, x = t mod p^k
         q, joint = p ** k, modulus * p ** k
         e_old = q * pow(q, -1, modulus) % joint
@@ -580,9 +617,14 @@ def _lift_congruence(
         stack = (
             (stack[:, None] * e_old) % joint + (layer[None, :] * e_new) % joint
         ).reshape(-1, dim, dim) % joint
+        gens = np.concatenate([
+            ((gens * e_old) % joint + ident * e_new) % joint,
+            (ident * e_old + (prime_gens * e_new) % joint) % joint,
+        ])
         modulus = joint
     digits = ((stack - ident) % n).reshape(len(stack), -1)
-    return stack[np.lexsort(digits.T)], size
+    gens = gens[np.any(gens != ident, axis=(1, 2))]
+    return stack[np.lexsort(digits.T)], size, gens
 
 
 def _central_scalars(rep: Representation, q: int) -> np.ndarray:
@@ -858,7 +900,7 @@ def _dispatch_theorem(statement, system_tag, ring, ideal_i, ideal_j, bound, cand
     elif statement == "T2":
         lhs = commutator_subgroup(e_i, e_j, rep, ring, bound)
         cfull = enumerate_full_congruence(rep, ring, ideal_j, candidate_bound)
-        mixed = commutator_subgroup(e_i, cfull.stack, rep, ring, bound)
+        mixed = commutator_subgroup(e_i, cfull.generator_stack(), rep, ring, bound)
         report.cardinalities = {
             "[E(I),E(J)]": lhs.cardinality,
             "C(R,J)": cfull.cardinality,
@@ -868,15 +910,15 @@ def _dispatch_theorem(statement, system_tag, ring, ideal_i, ideal_j, bound, cand
     elif statement == "T3":
         e_sub = closure(e_i, rep, ring, bound)
         cfull = enumerate_full_congruence(rep, ring, ideal_i, candidate_bound)
-        outside = e_sub.missing_conjugates(cfull.stack, _word_matrices(e_i, rep, ring))
+        outside = e_sub.missing_conjugates(cfull.generator_stack(), _word_matrices(e_i, rep, ring))
         report.cardinalities = {
             "E(I)": e_sub.cardinality,
             "C(R,I)": cfull.cardinality,
         }
         report.notes.append(
-            "normality checked by conjugating each generator of E(I) by every "
-            "element of C(R,I); C is inverse-closed, so this is equivalent to "
-            "conjugating every element"
+            "normality checked by conjugating each generator of E(I) by each "
+            "generator of C(R,I); in a finite group this suffices, since "
+            "c E(I) c^-1 inside E(I) forces equality for each generator c"
         )
         report.verdict = not len(outside)
     else:

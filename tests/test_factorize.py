@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from chevlab.factorize import (
@@ -18,6 +20,7 @@ from chevlab.factorize import (
 from chevlab.reps import get_representation
 from chevlab.rings import Ideal, Ring, enumerate_elements
 from chevlab.roots import MainLemmaCase, get_system
+from chevlab.subgroups import BoundExceeded
 from chevlab.words import LICENSED_TAGS, certificate_tags, evaluate
 
 SYMBOLIC = Ring.polynomial(Ring.integers(), ("xi", "zeta", "eta"))
@@ -160,6 +163,15 @@ def test_mixed_generator_family():
             assert validate_certificate(
                 item.certificate, item.word, ideal_i, ideal_j, rep, ring
             )
+
+
+def test_mixed_generators_refused_before_listing_them():
+    # 3 * 6 * n^3 words over a ring where n is about 1.1e12
+    ring = Ring.mod(1099511627791)
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded, match=r"A2 over Z/1099511627791 list \d+ words \(> 1000000\)"):
+        mixed_commutator_generators("A2", Ideal.of(ring, [1]), Ideal.of(ring, [1]))
+    assert time.perf_counter() - start < 1
 
 
 def test_condition_star_values():

@@ -252,16 +252,18 @@ def test_full_congruence_c2_z9():
     assert cfull.cardinality == 2 * kernel.cardinality == 2 * 3 ** 10
 
 
-@pytest.mark.parametrize(
-    "rep,n,d",
-    [
-        pytest.param(rep, n, d, id=f"{rep.name}-Z{n}-({d})")
-        for rep, n, d in [
-            (A2, 4, 2), (A2, 6, 2), (A2, 6, 3), (A2, 8, 2), (A2, 8, 4), (A2, 9, 3),
-            (A2, 12, 4), (C2, 4, 2), (C2, 6, 3), (C2, 9, 3),
-        ]
-    ],
-)
+# levels whose C(R, I) the closure route can reach; Z/6 and Z/12 have a
+# prime not dividing d, where the base layer is G(F_p)
+_FULL_CONGRUENCE_CASES = [
+    pytest.param(rep, n, d, id=f"{rep.name}-Z{n}-({d})")
+    for rep, n, d in [
+        (A2, 4, 2), (A2, 6, 2), (A2, 6, 3), (A2, 8, 2), (A2, 8, 4), (A2, 9, 3),
+        (A2, 12, 4), (C2, 4, 2), (C2, 6, 3), (C2, 9, 3),
+    ]
+]
+
+
+@pytest.mark.parametrize("rep,n,d", _FULL_CONGRUENCE_CASES)
 def test_lifted_full_congruence_matches_closure_route(rep, n, d):
     ring = Ring.mod(n)
     ideal = Ideal.of(ring, [d])
@@ -270,6 +272,60 @@ def test_lifted_full_congruence_matches_closure_route(rep, n, d):
     kernel = enumerate_congruence_subgroup(rep, ring, ideal)
     assert lifted.same_elements(oracle)
     assert lifted.cardinality == len(centre) * kernel.cardinality
+
+
+@pytest.mark.parametrize("central", [False, True], ids=["G", "C"])
+@pytest.mark.parametrize("rep,n,d", _FULL_CONGRUENCE_CASES)
+def test_lifted_generators_generate_the_set(monkeypatch, rep, n, d, central):
+    # both sets lifted afresh, so G does not come from a cached C
+    monkeypatch.setattr(subgroups, "_CONGRUENCE_CACHE", {})
+    ring = Ring.mod(n)
+    build = enumerate_full_congruence if central else enumerate_congruence_subgroup
+    lifted = build(rep, ring, Ideal.of(ring, [d]))
+    closed = EnumeratedSubgroup(rep, ring, [])
+    closed.close_over(lifted.generator_stack(), bound=10**6)
+    assert closed.same_elements(lifted)
+
+
+def _all_conjugates_inside(sub, conj, gens):
+    return not len(sub.missing_conjugates(conj, gens))
+
+
+@pytest.mark.parametrize(
+    "stmt,tag,n,di,dj",
+    [
+        # A2/Z8 and A2/Z16 have nontrivial [E(I), E(J)]; J = (3) over Z/6
+        # and I = (4) over Z/12 have a prime where the base layer is G(F_p)
+        ("T2", "A2", 8, 2, 2), ("T2", "A2", 16, 2, 4), ("T2", "C2", 9, 3, 3), ("T2", "A2", 6, 2, 3),
+        ("T3", "A2", 8, 2, 2), ("T3", "A2", 16, 4, 4), ("T3", "C2", 9, 3, 3), ("T3", "A2", 12, 4, 4),
+    ],
+)
+def test_T2_T3_by_generators_match_all_elements(stmt, tag, n, di, dj):
+    # the oracle passes every element of C, as K of [E(I), C(R, J)] and as
+    # the conjugators of E(I)
+    rep, ring = get_representation(tag), Ring.mod(n)
+    ideal_i, ideal_j = Ideal.of(ring, [di]), Ideal.of(ring, [dj])
+    e_i = elementary_level_words(tag, ideal_i)
+    report = verify_theorem(stmt, tag, ring, ideal_i, ideal_j)
+    assert report.error is None
+    if stmt == "T2":
+        lhs = commutator_subgroup(e_i, elementary_level_words(tag, ideal_j), rep, ring)
+        cfull = enumerate_full_congruence(rep, ring, ideal_j)
+        by_gens = commutator_subgroup(e_i, cfull.generator_stack(), rep, ring)
+        by_all = commutator_subgroup(e_i, cfull.stack, rep, ring)
+        assert by_gens.same_elements(by_all)
+        assert report.cardinalities["[E(I),C(R,J)]"] == by_all.cardinality
+        assert report.verdict == by_all.same_elements(lhs)
+        return
+    cfull = enumerate_full_congruence(rep, ring, ideal_i)
+    e_sub = closure(e_i, rep, ring)
+    gens = _word_matrices(e_i, rep, ring)
+    assert report.verdict == _all_conjugates_inside(e_sub, cfull.stack, gens)
+    # one root subgroup of level I, which C(R, I) need not normalise
+    root = closure(e_i[:1], rep, ring)
+    assert _all_conjugates_inside(root, cfull.generator_stack(), root.generator_stack()) == (
+        _all_conjugates_inside(root, cfull.stack, root.generator_stack())
+    )
 
 
 def test_full_congruence_lifts_classes_without_scalar_lift():
@@ -369,8 +425,8 @@ def test_lifted_congruence_audit_refuses_corruption(monkeypatch, central, corrup
     corrupt, check = _CORRUPTIONS[corruption]
 
     def corrupted(*args):
-        stack, size = _LIFT(*args)
-        return corrupt(stack), size
+        stack, size, gens = _LIFT(*args)
+        return corrupt(stack), size, gens
 
     monkeypatch.setattr(subgroups, "_lift_congruence", corrupted)
     build = enumerate_full_congruence if central else enumerate_congruence_subgroup
@@ -378,6 +434,29 @@ def test_lifted_congruence_audit_refuses_corruption(monkeypatch, central, corrup
     with pytest.raises(EnumerationError, match=rf"lifted {kind}\(Z/9, \(3\)\) of C2: {check} check failed"):
         build(C2, Z9, Ideal.of(Z9, [3]))
     assert not subgroups._CONGRUENCE_CACHE
+
+
+@pytest.mark.parametrize(
+    "rep,n,d",
+    [
+        pytest.param(rep, n, d, id=f"{rep.name}-Z{n}-({d})")
+        for rep, n, d in [(C2, 9, 3), (A2, 27, 9), (A2, 8, 2), (A2, 12, 4), (C2, 6, 3)]
+    ],
+)
+def test_kernel_from_cached_full_congruence_matches_lifting(monkeypatch, rep, n, d):
+    monkeypatch.setattr(subgroups, "_CONGRUENCE_CACHE", {})
+    lifted = []
+    monkeypatch.setattr(
+        subgroups, "_lift_congruence", lambda *args: lifted.append(args[-1]) or _LIFT(*args)
+    )
+    ring = Ring.mod(n)
+    ideal = Ideal.of(ring, [d])
+    enumerate_full_congruence(rep, ring, ideal)
+    kernel = enumerate_congruence_subgroup(rep, ring, ideal)
+    assert lifted == [True]
+    stack, size, gens = _LIFT(rep, n, d, 10**8, False)
+    assert np.array_equal(kernel.stack, stack) and kernel.cardinality == size
+    assert np.array_equal(kernel.generator_stack(), gens)
 
 
 def test_huge_ring_refused_before_listing_words():
