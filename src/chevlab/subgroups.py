@@ -6,7 +6,10 @@ smallest admissible congruence kernels are far beyond desk scale) and the
 reports say so.  Elements are canonical residue matrices, products run
 through batched numpy arithmetic, and closures through breadth-first search
 over a minimal generating subset, so verdicts are deterministic and
-independent of chunk sizes.
+independent of chunk sizes.  A closure multiplies by the generators alone,
+never by their inverses: in a finite group g^-1 = g^(ord g - 1), so the
+submonoid a set of invertible matrices spans is the subgroup it generates.
+``close_over`` checks that each determinant is a unit.
 
 Membership and deduplication go through one code per matrix (``_codes``).
 When n^(dim^2) <= 2^64, which holds for A2 up to n = 138 and for C2 up to
@@ -23,43 +26,63 @@ close the seed under products, extend it until it is stable under the
 conjugators, audit.  The only conjugation loop is
 ``EnumeratedSubgroup.missing_conjugates``, the distinct c g c^-1 outside the
 set: the closure loops on it, and T3 and O2 are one call each (nothing
-missing is the verdict).  ``commutator_subgroup`` takes K as generator words
-or as a stack of generating matrices.  T2 and T3 pass C(R, J) and C(R, I) by
-the generating set of their lifting, not by their elements: [H, K] is the
-normal closure in <H, K> of the commutators of generators, and in a finite
-group c E c^-1 inside E for each generator c of C puts C in the normaliser.
+missing is the verdict).  It conjugates the generators only, since
+c g^-1 c^-1 is the inverse of c g c^-1.  ``commutator_subgroup`` takes K as
+generator words or as a stack of generating matrices.  T2 and T3 pass
+C(R, J) and C(R, I) by a certified generating set and list none of their
+elements: [H, K] is the normal closure in <H, K> of the commutators of
+generators, and in a finite group c E c^-1 inside E for each generator c of
+C puts C in the normaliser.
 
 Principal congruence subgroups G(Z/n, (d)) and full congruence subgroups
-C(Z/n, (d)), the preimage of the centre of G(Z/d), come from one lifting,
-prime by prime along the filtration G(p^m) > G(p^(m+1)).  The base layer at
-each p^a exactly dividing d is {1} for G, and for C the scalars s 1 mod p^a
-that satisfy the group equations, which make up the centre of G(Z/p^a); at a
-prime p not dividing d it is G(F_p), swept from the p^(dim^2) matrices mod p,
-for both.  Each element of layer m lifts to g (1 + p^m Z) with Z running over
-the solutions mod p of the group equations linearised at 1.  SL3 and Sp4 are
-smooth over Z_p, so every element of G(Z/p^m) lifts, each in p^(dim G) ways:
-every central class lifts whether or not it has a scalar lift, and
-|C(R, I)| = |Z(G(Z/d))| |G(R, I)|.  The primes are joined by the Chinese
-remainder theorem.  The full sweep over 1 + dM survives only as
-``_sweep_congruence``, the base-layer step and the tests' oracle.  The
-lifting also yields a generating set, kept as the set's ``generator_stack``:
-one lift of 1 + p^m z for each basis row z of each layer m, one lift of each
-central scalar for C, and the x_a(1) at a prime not dividing d.  G(R, I) is
-taken from a cached C(R, I) at the same level, as its elements 1 mod d.
+C(Z/n, (d)), the preimage of the centre of G(Z/d), are taken prime by prime
+along the filtration G(p^m) > G(p^(m+1)) at each p^k exactly dividing n, and
+the primes are joined by the Chinese remainder theorem.  SL3 and Sp4 are
+smooth over Z_p: every element of G(Z/p^m) lifts, and each layer
+G(p^m)/G(p^(m+1)) is the Lie algebra mod p, of order p^(dim G) with
+dim G = |roots| + 2.  So the orders have closed forms (``_congruence_order``).
+When p^a exactly divides d, a >= 1, the factor at p is |base| p^(dim G (k - a)),
+the base being 1 for G and for C the centre of G(Z/p^a), the scalars s
+with s^3 = 1 (SL3) or s^2 = 1 (Sp4) mod p^a, counted by ``_centre_order``;
+every central class lifts, so |C(R, I)| = |Z(G(Z/d))| |G(R, I)|.  When p does not
+divide d it is |G(F_p)| p^(dim G (k - 1)), with |SL3(F_p)| =
+p^3 (p^2 - 1)(p^3 - 1) and |Sp4(F_p)| = p^4 (p^2 - 1)(p^4 - 1) (Steinberg,
+Lectures on Chevalley groups).  T1 reports |G(R, I)| and T2 and T3 report
+|C(R, I)| from these forms.
 
-A lifted set S at level d is audited before it is cached by what the
-lifting claims, not by sampled products: (1) every element satisfies the
-group equations mod n; (2) each is 1 mod d, or for C a scalar mod d; (3) none
-is listed twice; (4) |S| is the closed form, |base layer| p^((k - level)
-dim G) at each p^k with dim G = |roots| + 2, not a count of the lifts; (5)
-1 is in S and S g is inside S for each generator g of the lifting, so the
-group they generate lies in S.  Checks 1-4 put |G(R, I)| distinct elements
-in G(R, I), or |C(R, I)| in C(R, I), so S is the group, closed under
-products and inverses; that rests only on |G(Z/p^k, (p^a))| =
-p^((k - a) dim G), which smoothness gives.  Check 5 is a cross-check.  A
-failed check raises EnumerationError naming it, G or C, the type, the ring
-and the level.  G(R, I) taken from a cached C(R, I) is checked for
-distinctness and for the count |C(R, I)| over the number of central scalars.
+The generating set (``_congruence_generators``) lists no layer.  At each p
+it is the base -- one lift of each central scalar for C, or 1, when p
+divides d, and the x_a(1), which generate G(F_p) = E(F_p), when it does
+not -- and for each layer m one lift of 1 + p^m z for each basis row z of
+the solutions mod p of the group equations linearised at 1.  Each is
+carried up to p^k by the particular solution of every later layer and
+placed with 1 at the other primes.  ``_certify_generators`` checks them
+without listing anything: (1) each satisfies the group equations mod n;
+(2) each is 1 mod d, or for C a scalar mod d; (3) at each p and each layer
+m, the layer-m generators are 1 mod p^m there and 1 at the other primes,
+and their images (g - 1)/p^m mod p have rank dim G over F_p, so they span
+the layer and, by descending induction on m, generate the kernel at p;
+(4) for C, the base at each p^a exactly dividing d holds |Z(G(Z/p^a))|
+matrices, distinct mod p^a and 1 at the other primes; by checks 1 and 2
+they are central scalars there, so they are one lift of each.  With the base
+at the primes not dividing d, the generators then generate the group whose
+order is the closed form.  A failed check raises EnumerationError naming
+it, G or C, the ring and the level.
+
+``enumerate_congruence_subgroup`` and ``enumerate_full_congruence`` list
+every element, for the tests and for callers that want the sets; no
+statement calls them.  The base is listed at each prime (swept from the
+p^(dim^2) matrices mod p by ``_sweep_congruence`` when p does not divide d;
+the sweep is also the tests' oracle), and each element g of layer m lifts
+to g (1 + p^m Z) over the solutions Z of the linearised equations.  A
+listed set S at level d is audited before it is cached, not by sampled
+products: (1) every element satisfies the group equations mod n; (2) each
+is 1 mod d, or for C a scalar mod d; (3) none is listed twice; (4) |S| is
+the closed form; (5) 1 is in S and S g is inside S for each certified
+generator g, so the group they generate lies in S.  Checks 1-4 put
+|G(R, I)| distinct elements in G(R, I), or |C(R, I)| in C(R, I), so S is the
+group; check 5 is a cross-check.  A failed check raises EnumerationError
+naming it, G or C, the type, the ring and the level.
 """
 from __future__ import annotations
 
@@ -139,9 +162,7 @@ def _batch_inverse(stack: np.ndarray, n: int) -> np.ndarray:
     """Inverses mod n via the adjugate; determinants must be units."""
     dim = stack.shape[1]
     out = np.zeros_like(stack)
-    dets, where = np.unique(_batch_det(stack, n), return_inverse=True)
-    if any(math.gcd(int(d), n) != 1 for d in dets):
-        raise EnumerationError("non-invertible matrix in inverse batch")
+    dets, where = _unit_determinants(stack, n, "inverse batch")
     unit_inv = np.array([pow(int(d), -1, n) for d in dets], dtype=np.int64)[where]
     minor_rows = [np.array([r for r in range(dim) if r != i]) for i in range(dim)]
     for i in range(dim):
@@ -150,6 +171,15 @@ def _batch_inverse(stack: np.ndarray, n: int) -> np.ndarray:
             cof = _batch_det(minor, n) * ((-1) ** (i + j))
             out[:, i, j] = cof % n
     return (out * unit_inv[:, None, None]) % n
+
+
+def _unit_determinants(stack: np.ndarray, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct determinants mod n of the stack and the index of each
+    matrix's among them; EnumerationError naming what when one is not a unit."""
+    dets, where = np.unique(_batch_det(stack, n), return_inverse=True)
+    if any(math.gcd(int(d), n) != 1 for d in dets):
+        raise EnumerationError(f"non-invertible matrix in {what}")
+    return dets, where
 
 
 def _batch_det(stack: np.ndarray, n: int) -> np.ndarray:
@@ -253,7 +283,8 @@ class EnumeratedSubgroup:
         return True
 
     def audit_closure(self) -> bool:
-        """Full pass: every element times every minimal generator stays in."""
+        """Full pass: every element times every minimal generator stays in,
+        which puts the group they generate inside the set."""
         return self._closed_under(self._min_gens)
 
     def audit_direct(self, probe: np.ndarray) -> bool:
@@ -278,24 +309,27 @@ class EnumeratedSubgroup:
     def close_over(self, gen_stack: np.ndarray, bound: int) -> None:
         """Add generators one at a time, BFS-closing after each new one.
 
-        The set stays closed under all previously added generators, so each
-        extension only needs to explore products involving the new one.
+        Only right products with the generators themselves are formed, never
+        with their inverses: in a finite group g^-1 = g^(ord g - 1), so the
+        submonoid the generators span is the subgroup they generate.  Each
+        generator must have a unit determinant, which is what makes it an
+        element of finite order.  The set stays closed under all previously
+        added generators, so each extension only needs to explore products
+        involving the new one.
         """
         n = self.ring.modulus
         dim = self.rep.block_dims[0]
-        ident = np.eye(dim, dtype=np.int64)
-        self._add_batch(ident[None, :, :], bound)
-        inverses = _batch_inverse(gen_stack, n)
-        for g, ginv in zip(gen_stack, inverses):
-            if self.contains_array(g % n):
+        self._add_batch(np.eye(dim, dtype=np.int64)[None], bound)
+        gen_stack = gen_stack % n
+        _unit_determinants(gen_stack, n, "generator batch")
+        for g in gen_stack:
+            if self.contains_array(g):
                 continue
-            self._min_gens.append(g % n)
-            self._min_gens.append(ginv)
-            seed = []
-            for new_gen in (g % n, ginv):
-                for start in range(0, len(self._stack), _CHUNK):
-                    prods = (self._stack[start : start + _CHUNK] @ new_gen) % n
-                    seed.append(self._add_batch(prods, bound))
+            self._min_gens.append(g)
+            seed = [
+                self._add_batch((self._stack[start : start + _CHUNK] @ g) % n, bound)
+                for start in range(0, len(self._stack), _CHUNK)
+            ]
             self._bfs(np.concatenate(seed), bound)
 
     def _bfs(self, frontier: np.ndarray, bound: int) -> None:
@@ -336,7 +370,8 @@ class EnumeratedSubgroup:
         """Extend until stable under conjugation by the given matrices.
 
         Conjugates of generators already checked stay inside as the set
-        grows, so each round conjugates only the generators added since."""
+        grows, so each round conjugates only the generators added since; no
+        inverse of a generator is conjugated, as c g^-1 c^-1 = (c g c^-1)^-1."""
         if conj_inv is None:
             conj_inv = _batch_inverse(conj_stack, self.ring.modulus)
         done = 0
@@ -454,10 +489,27 @@ def _require_enumerable(rep: Representation, ring: Ring) -> None:
 
 
 # ---------------------------------------------------------------------------
-# direct congruence enumerations
+# congruence subgroups: closed-form orders, certified generators, listing
 
 
 _CONGRUENCE_CACHE: dict = {}
+
+
+def full_congruence_generators(
+    rep: Representation,
+    ring: Ring,
+    ideal: Ideal,
+    bound: int = DEFAULT_CANDIDATE_BOUND,
+) -> tuple[int, np.ndarray]:
+    """|C(R, I)| in closed form and a generating set of C(R, I), certified
+    by the generator checks of the module docstring; no element of C is
+    listed.  Refused for the zero and unit ideals, and when |C(R, I)| or the
+    scalars swept for its centre exceed the bound."""
+    _require_enumerable(rep, ring)
+    n, (d,) = ring.modulus, ideal.gens
+    _require_proper_level(n, d)
+    size = _congruence_order(rep, n, d, bound, central=True, swept=False)
+    return size, _certify_generators(rep, n, d, True, _congruence_generators(rep, n, d, True))
 
 
 def enumerate_congruence_subgroup(
@@ -466,13 +518,13 @@ def enumerate_congruence_subgroup(
     ideal: Ideal,
     bound: int = DEFAULT_CANDIDATE_BOUND,
 ) -> EnumeratedSubgroup:
-    """The principal congruence subgroup G(R, I): all matrices congruent to
-    1 mod the ideal that satisfy the group equations.  Built by lifting along
-    the p-adic filtration of each prime power of the modulus, and audited
-    before it is cached by the exact checks of the module docstring, or
-    taken from C(R, I) when that is cached.  Refused when the base-layer
-    sweeps, p^(dim^2) matrices for each prime p dividing n but not d, or the
-    elements to keep exceed the bound."""
+    """The principal congruence subgroup G(R, I), every element listed: all
+    matrices congruent to 1 mod the ideal that satisfy the group equations.
+    Built by lifting along the p-adic filtration of each prime power of the
+    modulus, and audited before it is cached by the listing checks of the
+    module docstring.  Refused when the base-layer sweeps, p^(dim^2)
+    matrices for each prime p dividing n but not d, or the elements to keep
+    exceed the bound."""
     return _congruence(rep, ring, ideal, bound, central=False)
 
 
@@ -483,21 +535,24 @@ def enumerate_full_congruence(
     bound: int = DEFAULT_CANDIDATE_BOUND,
 ) -> EnumeratedSubgroup:
     """The full congruence subgroup C(R, I), the preimage of the centre of
-    G(R/I).  The same lifting as for G(R, I), started at each p^a exactly
-    dividing d from the central scalars of G(Z/p^a) instead of from 1; every
-    central class lifts, so |C(R, I)| = |Z(G(Z/d))| |G(R, I)|.  Cached,
-    bounded and audited like G(R, I); refused for the zero and unit ideals."""
+    G(R/I), every element listed.  The same lifting as for G(R, I), started
+    at each p^a exactly dividing d from the central scalars of G(Z/p^a)
+    instead of from 1.  Cached, bounded and audited like G(R, I); refused
+    for the zero and unit ideals."""
     _require_enumerable(rep, ring)
-    (d,) = ideal.gens
-    if d % ring.modulus == 0 or d == 1:
-        raise EnumerationError("full congruence enumeration needs a proper nonzero level")
+    _require_proper_level(ring.modulus, ideal.gens[0])
     return _congruence(rep, ring, ideal, bound, central=True)
+
+
+def _require_proper_level(n: int, d: int) -> None:
+    if d % n == 0 or d == 1:
+        raise EnumerationError("full congruence enumeration needs a proper nonzero level")
 
 
 def _congruence(
     rep: Representation, ring: Ring, ideal: Ideal, bound: int, central: bool
 ) -> EnumeratedSubgroup:
-    """G(R, I), or C(R, I) when central: from the cache, or built, audited
+    """G(R, I), or C(R, I) when central: from the cache, or listed, audited
     and cached.  The cache key holds no bound, so a cached set is checked
     against it."""
     cache_key = (rep.name, ring, ideal) + (("C",) if central else ())
@@ -511,40 +566,16 @@ def _congruence(
     _require_enumerable(rep, ring)
     n = ring.modulus
     (d,) = ideal.gens
-    dim = rep.block_dims[0]
-    ident = np.eye(dim, dtype=np.int64)
-    primes = _prime_powers(n)
+    ident = np.eye(rep.block_dims[0], dtype=np.int64)
     where = f"lifted {'C' if central else 'G'}({ring}, {ideal}) of {rep.name}"
-    cfull = None if central else _CONGRUENCE_CACHE.get(cache_key + ("C",))
-    if cfull is not None:
-        # G(R, I) is the part of the audited C(R, I) that is 1 mod d, already
-        # in G's order, and so are its generators but the central lifts;
-        # |C|/|G| is the number of central scalars of G(Z/p^a) at each p^a
-        # exactly dividing d
-        stack, gens = cfull.stack, cfull.generator_stack()
-        stack = stack[np.all((stack - ident) % d == 0, axis=(1, 2))]
-        gens = gens[np.all((gens - ident) % d == 0, axis=(1, 2))]
-        size = cfull.cardinality // math.prod(
-            len(_central_scalars(rep, math.gcd(d, p**k))) for p, k in primes if d % p == 0
-        )
-    else:
-        # the base layers' candidates: p^(dim^2) matrices at each prime p not
-        # dividing d, and for C the p^a scalars at each p^a exactly dividing d
-        count = sum(p ** (dim * dim) for p, _ in primes if d % p)
-        if central:
-            count += sum(math.gcd(d, p**k) for p, k in primes if d % p == 0)
-        if count > bound:
-            raise BoundExceeded(
-                f"congruence enumeration needs {count} candidates (> {bound})", 0
-            )
-        stack, size, gens = _lift_congruence(rep, n, d, bound, central)
-        # the audit of the module docstring: checks 2-4 here, 1 and 5 in
-        # audit_direct; for the level, one element of each class mod d
-        classes = stack[_first_rows(stack % d, d)]
-        scalars = (classes[:, :1, :1] if central else 1) * ident
-        if np.any(classes % d != scalars % d):
-            kind = "scalar" if central else "1"
-            raise EnumerationError(f"{where}: level check failed (an element is not {kind} mod {d})")
+    stack, size, gens = _lift_congruence(rep, n, d, bound, central)
+    # the audit of the module docstring: checks 2-4 here, 1 and 5 in
+    # audit_direct; for the level, one element of each class mod d
+    classes = stack[_first_rows(stack % d, d)]
+    scalars = (classes[:, :1, :1] if central else 1) * ident
+    if np.any(classes % d != scalars % d):
+        kind = "scalar" if central else "1"
+        raise EnumerationError(f"{where}: level check failed (an element is not {kind} mod {d})")
     sub = EnumeratedSubgroup(rep, ring, [])
     sub._add_batch(stack, bound)
     if sub.cardinality != len(stack):
@@ -552,64 +583,186 @@ def _congruence(
     if sub.cardinality != size:
         raise EnumerationError(f"{where}: count check failed ({sub.cardinality}, not {size})")
     sub._min_gens = list(gens)
-    if cfull is None:
-        try:
-            sub.audit_direct(gens)
-        except EnumerationError as exc:
-            raise EnumerationError(f"{where}: {exc}") from None
+    try:
+        sub.audit_direct(gens)
+    except EnumerationError as exc:
+        raise EnumerationError(f"{where}: {exc}") from None
     _CONGRUENCE_CACHE[cache_key] = sub
     return sub
+
+
+def _group_order_mod_p(rep: Representation, p: int) -> int:
+    """|G(F_p)| in closed form: p^3 (p^2 - 1)(p^3 - 1) for SL3 and
+    p^4 (p^2 - 1)(p^4 - 1) for Sp4."""
+    if rep.system.type_tag == "A2":
+        return p**3 * (p**2 - 1) * (p**3 - 1)
+    return p**4 * (p**2 - 1) * (p**4 - 1)
+
+
+def _centre_order(rep: Representation, p: int, a: int) -> int:
+    """|Z(G(Z/p^a))|, the number of s mod p^a with s^e = 1, where e = 3 for
+    SL3 (det s1 = s^3) and e = 2 for Sp4 (s1 scales the form by s^2): it is
+    gcd(e, |(Z/p^a)^*|), as (Z/p^a)^* is cyclic, except that (Z/2^a)^* for
+    a >= 3 is C_2 x C_(2^(a-2))."""
+    e = 3 if rep.system.type_tag == "A2" else 2
+    if p == 2 and a >= 3:
+        return math.gcd(e, 2) * math.gcd(e, 2 ** (a - 2))
+    return math.gcd(e, p ** (a - 1) * (p - 1))
+
+
+def _filtration(n: int, d: int) -> list[tuple[int, int, int]]:
+    """(p, k, a) for each p^k exactly dividing n, where p^a, a <= k, is the
+    largest power of p dividing d.  The layers at p run from max(a, 1) to k."""
+    out = []
+    for p, k in _prime_powers(n):
+        a = 0
+        while a < k and d % p ** (a + 1) == 0:
+            a += 1
+        out.append((p, k, a))
+    return out
+
+
+def _congruence_order(
+    rep: Representation, n: int, d: int, bound: int, central: bool, swept: bool
+) -> int:
+    """|G(Z/n, (d))|, or |C(Z/n, (d))| when central, in closed form.
+
+    At each p^k exactly dividing n the factor is |base| p^(dim G (k - level)):
+    the base is {1}, or for C the centre of G(Z/p^a), at level a >= 1, and
+    G(F_p) at level 1 when p does not divide d.  Refused first when the
+    candidates a build sweeps exceed the bound: the p^a scalars for C, and
+    when swept the p^(dim^2) matrices of each G(F_p); then as soon as the
+    product passes the bound."""
+    dim = rep.block_dims[0]
+    dim_g = len(rep.system.roots) + rep.system.rank
+    primes = _filtration(n, d)
+    count = sum(p ** (dim * dim) for p, _, a in primes if not a) if swept else 0
+    if central:
+        count += sum(p**a for p, _, a in primes if a)
+    if count > bound:
+        raise BoundExceeded(f"congruence enumeration needs {count} candidates (> {bound})", 0)
+    size = 1
+    for p, k, a in primes:
+        if a:
+            base = _centre_order(rep, p, a) if central else 1
+        else:
+            base = _group_order_mod_p(rep, p)
+        size *= base * p ** (dim_g * (k - max(a, 1)))
+        if size > bound:
+            raise BoundExceeded(f"congruence subgroup has {size} elements (> {bound})", 0)
+    return size
+
+
+def _congruence_generators(
+    rep: Representation, n: int, d: int, central: bool
+) -> list[tuple[int, int, np.ndarray]]:
+    """A generating set of G(Z/n, (d)), or of C(Z/n, (d)) when central, as
+    blocks (p, m, matrices mod n), each matrix placed at p^k exactly
+    dividing n with 1 at the other primes.  No layer is listed.
+
+    Block m = 0 at p is the base: one lift of each central scalar of
+    G(Z/p^a) for C, or 1, when p^a exactly divides d, a >= 1; the x_a(1),
+    which generate G(F_p), when p does not divide d.  Block m >= max(a, 1)
+    is one lift of 1 + p^m z for each basis row z of the solutions mod p of
+    the group equations linearised at 1.  Each generator is carried up to
+    p^k by the particular solution of every later layer."""
+    dim = rep.block_dims[0]
+    ident = np.eye(dim, dtype=np.int64)
+    blocks = []
+    for p, k, a in _filtration(n, d):
+        q = p**k
+        if a:
+            prime_blocks = [_central_scalars(rep, p**a) if central else ident[None]]
+        else:
+            ring = Ring.mod(q)
+            prime_blocks = [_word_matrices(_root_words(rep.system.type_tag, [ring.one]), rep, ring)]
+        level = max(a, 1)
+        if level < k:
+            particular, _, basis = _solve_mod_p(_linearised_equations(rep, p), p)
+        for m in range(level, k):
+            step = p**m
+            for i, block in enumerate(prime_blocks):
+                shift = (_lift_constants(rep, block, p, m) @ particular) % p
+                prime_blocks[i] = block @ (ident + step * shift.reshape(-1, dim, dim)) % (step * p)
+            prime_blocks.append((ident + step * basis.reshape(-1, dim, dim)) % (step * p))
+        # x = g mod q and x = 1 mod n/q
+        e_q = (n // q) * pow(n // q, -1, q) % n
+        for m, block in zip([0, *range(level, k)], prime_blocks):
+            blocks.append((p, m, ((block * e_q) % n + ident * ((1 - e_q) % n)) % n))
+    return blocks
+
+
+def _certify_generators(rep: Representation, n: int, d: int, central: bool, blocks) -> np.ndarray:
+    """The matrices of the blocks in order, identities dropped, once they
+    pass the generator checks of the module docstring; EnumerationError
+    naming the check that fails."""
+    where = f"generators of {'C' if central else 'G'}(Z/{n}, ({d})) of {rep.name}"
+    dim = rep.block_dims[0]
+    dim_g = len(rep.system.roots) + rep.system.rank
+    ident = np.eye(dim, dtype=np.int64)
+
+    def block(p, m):
+        return np.concatenate([ident[None][:0]] + [g for bp, bm, g in blocks if (bp, bm) == (p, m)])
+
+    gens = np.concatenate([ident[None][:0]] + [g for _, _, g in blocks])
+    if not _group_equation_mask(rep, gens, n).all():
+        raise EnumerationError(f"{where}: group equations check failed (a generator is not in {rep.name})")
+    scalars = (gens[:, :1, :1] if central else 1) * ident
+    if np.any(gens % d != scalars % d):
+        kind = "scalar" if central else "1"
+        raise EnumerationError(f"{where}: level check failed (a generator is not {kind} mod {d})")
+    for p, k, a in _filtration(n, d):
+        rest = n // p**k
+        for m in range(max(a, 1), k):
+            layer = block(p, m)
+            # g - 1 is p^m times the image at p, and 0 at the other primes
+            steps = (layer - ident) % n
+            rank = 0
+            if not np.any(steps % (rest * p**m)):
+                images = (steps // (rest * p**m)) % p
+                rank = dim * dim - len(_solve_mod_p(images.reshape(len(layer), -1), p)[2])
+            if rank != dim_g:
+                raise EnumerationError(
+                    f"{where}: rank check failed (layer {m} at {p} spans {rank} dimensions, not {dim_g})"
+                )
+        if central and a:
+            # scalars mod p^a by the level check, in G by the group equations
+            base = block(p, 0)
+            distinct = len(np.unique(base[:, 0, 0] % p**a))
+            if np.any((base - ident) % rest) or not distinct == len(base) == _centre_order(rep, p, a):
+                raise EnumerationError(
+                    f"{where}: central lift check failed (not one lift of each central scalar mod {p**a})"
+                )
+    return gens[np.any(gens != ident, axis=(1, 2))]
 
 
 def _lift_congruence(
     rep: Representation, n: int, d: int, bound: int, central: bool
 ) -> tuple[np.ndarray, int, np.ndarray]:
-    """G(Z/n, (d)) for d | n, or C(Z/n, (d)) when central, as canonical
+    """G(Z/n, (d)) for d | n, or C(Z/n, (d)) when central, listed: canonical
     residue matrices sorted by the mixed-radix index of (g - 1) mod n (for G
-    the order of the sweep), the closed-form size of that group, and a
-    generating set of it.
+    the order of the sweep), the closed-form size of that group, and the
+    certified generating set of ``_congruence_generators``.
 
     The base layer at each p^a exactly dividing d, a >= 1, is {1}, or the
-    centre of G(Z/p^a) when central; at a prime not dividing d it is G(F_p).
-    SL3 and Sp4 are smooth over Z_p, so each element of G(Z/p^m) has
-    p^(dim G) lifts, the solutions of the linearised equations, and the group
-    has |base layer| p^(dim G (k - level)) elements at p^k; the size is the
-    product over the primes.  It is counted from dim G, not from the lifts,
-    and refused before a prime's layers are built when it exceeds the bound.
-
-    The generators at p^k are one lift of each central scalar for C, the
-    x_a(1) when p does not divide d (they generate G(F_p)), and for each
-    layer m and each basis row z of its solutions one lift of 1 + p^m z,
-    each carried to p^k by the particular solution of every later layer and
-    placed at p^k with 1 at the other primes.  The images of the 1 + p^m z
-    span G(p^m)/G(p^(m+1)), whose size the count ties to p^(dim G), so by
-    descending induction on m they generate the kernel; the base generators
-    cover the base layer.  No layer is listed to find them."""
+    centre of G(Z/p^a) when central; at a prime not dividing d it is G(F_p),
+    swept from the p^(dim^2) matrices mod p.  Each layer is lifted in full
+    by ``_lift_layer``, and the primes are joined by the Chinese remainder
+    theorem.  Refused before anything is swept when the closed-form size or
+    the candidates exceed the bound."""
+    size = _congruence_order(rep, n, d, bound, central, swept=True)
     dim = rep.block_dims[0]
-    dim_g = len(rep.system.roots) + rep.system.rank
     ident = np.eye(dim, dtype=np.int64)
-    stack, gens, modulus, size = ident[None], ident[None][:0], 1, 1
-    for p, k in _prime_powers(n):
-        a = 0
-        while a < k and d % p ** (a + 1) == 0:
-            a += 1
+    stack, modulus = ident[None], 1
+    for p, k, a in _filtration(n, d):
         if a:
-            layer, level = (_central_scalars(rep, p**a) if central else ident[None]), a
-            prime_gens = layer
+            layer = _central_scalars(rep, p**a) if central else ident[None]
         else:
-            layer, level = _sweep_congruence(rep, p, 1), 1
-            ring = Ring.mod(p**k)
-            prime_gens = _word_matrices(_root_words(rep.system.type_tag, [ring.one]), rep, ring)
-        size *= len(layer) * p ** (dim_g * (k - level))
-        if size > bound:
-            raise BoundExceeded(f"congruence subgroup has {size} elements (> {bound})", 0)
-        if level < k:
+            layer = _sweep_congruence(rep, p, 1)
+        if max(a, 1) < k:
             solver = _solve_mod_p(_linearised_equations(rep, p), p)
-            particular = solver[:2] + (solver[2][:0],)
-        for m in range(level, k):
+        for m in range(max(a, 1), k):
             layer = _lift_layer(rep, layer, p, m, solver)
-            step = (ident + p**m * solver[2].reshape(-1, dim, dim)) % p ** (m + 1)
-            prime_gens = np.concatenate([_lift_layer(rep, prime_gens, p, m, particular), step])
         # Chinese remainder: x = s mod modulus, x = t mod p^k
         q, joint = p ** k, modulus * p ** k
         e_old = q * pow(q, -1, modulus) % joint
@@ -617,13 +770,9 @@ def _lift_congruence(
         stack = (
             (stack[:, None] * e_old) % joint + (layer[None, :] * e_new) % joint
         ).reshape(-1, dim, dim) % joint
-        gens = np.concatenate([
-            ((gens * e_old) % joint + ident * e_new) % joint,
-            (ident * e_old + (prime_gens * e_new) % joint) % joint,
-        ])
         modulus = joint
     digits = ((stack - ident) % n).reshape(len(stack), -1)
-    gens = gens[np.any(gens != ident, axis=(1, 2))]
+    gens = _certify_generators(rep, n, d, central, _congruence_generators(rep, n, d, central))
     return stack[np.lexsort(digits.T)], size, gens
 
 
@@ -641,7 +790,7 @@ def _central_scalars(rep: Representation, q: int) -> np.ndarray:
 
 def _sweep_congruence(rep: Representation, n: int, d: int) -> np.ndarray:
     """Every 1 + d*M mod n satisfying the group equations, in the order of
-    the mixed-radix index of M: (n/d)^(dim^2) candidates.  Production calls
+    the mixed-radix index of M: (n/d)^(dim^2) candidates.  The listing calls
     it only for the base layer G(F_p); the tests use it as the oracle."""
     dim = rep.block_dims[0]
     radix = n // d
@@ -657,19 +806,26 @@ def _sweep_congruence(rep: Representation, n: int, d: int) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def _lift_layer(rep: Representation, layer: np.ndarray, p: int, m: int, solver) -> np.ndarray:
-    """All lifts to G(Z/p^(m+1)) of the elements of G(Z/p^m) in the layer.
+def _lift_constants(rep: Representation, layer: np.ndarray, p: int, m: int) -> np.ndarray:
+    """-C(g) mod p for each g of G(Z/p^m) in the layer, with
+    C(g) = (f(g) - f(1))/p^m mod p: g (1 + p^m Z) satisfies the equations f
+    mod p^(m+1) exactly when L(Z) = -C(g) mod p, L the equations linearised
+    at 1."""
+    q = p ** (m + 1)
+    ident = np.eye(layer.shape[1], dtype=np.int64)
+    defect = (_group_equations(rep, layer, q) - _group_equations(rep, ident[None], q)) % q
+    return (-(defect // p**m)) % p
 
-    g (1 + p^m Z) satisfies the equations mod p^(m+1) exactly when
-    L(Z) = -C(g) mod p, with L the equations linearised at 1 and
-    C(g) = (f(g) - f(1))/p^m; an element whose constant is inconsistent has
-    no lift and is dropped."""
+
+def _lift_layer(rep: Representation, layer: np.ndarray, p: int, m: int, solver) -> np.ndarray:
+    """All lifts to G(Z/p^(m+1)) of the elements of G(Z/p^m) in the layer,
+    g (1 + p^m Z) over the solutions Z of L(Z) = -C(g) mod p; an element
+    whose constant is inconsistent has no lift and is dropped."""
     particular, consistency, basis = solver
     dim = layer.shape[1]
     step, q = p ** m, p ** (m + 1)
     ident = np.eye(dim, dtype=np.int64)
-    defect = (_group_equations(rep, layer, q) - _group_equations(rep, ident[None], q)) % q
-    rhs = (-(defect // step)) % p
+    rhs = _lift_constants(rep, layer, p, m)
     solvable = np.all((rhs @ consistency) % p == 0, axis=1)
     layer = layer[solvable]
     shift = (rhs[solvable] @ particular) % p
@@ -874,9 +1030,10 @@ def _dispatch_theorem(statement, system_tag, ring, ideal_i, ideal_j, bound, cand
         dim = rep.block_dims[0]
         if d % ring.modulus and (ring.modulus // d) ** (dim * dim) <= candidate_bound:
             rel_sub = closure(rel_i, rep, ring, bound)
-            kernel = enumerate_congruence_subgroup(rep, ring, ideal_i, candidate_bound)
             report.cardinalities["E(R,I)"] = rel_sub.cardinality
-            report.cardinalities["G(R,I)"] = kernel.cardinality
+            report.cardinalities["G(R,I)"] = _congruence_order(
+                rep, n, d, candidate_bound, central=False, swept=False
+            )
             report.notes.append(
                 "E(R,I) vs G(R,I) cardinalities reported as data; equality at "
                 "this level is not asserted by any verified statement"
@@ -899,21 +1056,21 @@ def _dispatch_theorem(statement, system_tag, ring, ideal_i, ideal_j, bound, cand
         report.verdict = not len(outside)
     elif statement == "T2":
         lhs = commutator_subgroup(e_i, e_j, rep, ring, bound)
-        cfull = enumerate_full_congruence(rep, ring, ideal_j, candidate_bound)
-        mixed = commutator_subgroup(e_i, cfull.generator_stack(), rep, ring, bound)
+        c_size, c_gens = full_congruence_generators(rep, ring, ideal_j, candidate_bound)
+        mixed = commutator_subgroup(e_i, c_gens, rep, ring, bound)
         report.cardinalities = {
             "[E(I),E(J)]": lhs.cardinality,
-            "C(R,J)": cfull.cardinality,
+            "C(R,J)": c_size,
             "[E(I),C(R,J)]": mixed.cardinality,
         }
         report.verdict = mixed.same_elements(lhs)
     elif statement == "T3":
         e_sub = closure(e_i, rep, ring, bound)
-        cfull = enumerate_full_congruence(rep, ring, ideal_i, candidate_bound)
-        outside = e_sub.missing_conjugates(cfull.generator_stack(), _word_matrices(e_i, rep, ring))
+        c_size, c_gens = full_congruence_generators(rep, ring, ideal_i, candidate_bound)
+        outside = e_sub.missing_conjugates(c_gens, _word_matrices(e_i, rep, ring))
         report.cardinalities = {
             "E(I)": e_sub.cardinality,
-            "C(R,I)": cfull.cardinality,
+            "C(R,I)": c_size,
         }
         report.notes.append(
             "normality checked by conjugating each generator of E(I) by each "

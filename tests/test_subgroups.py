@@ -1,3 +1,5 @@
+import math
+import re
 import time
 
 import numpy as np
@@ -24,6 +26,7 @@ from chevlab.subgroups import (
     elementary_level_words,
     enumerate_congruence_subgroup,
     enumerate_full_congruence,
+    full_congruence_generators,
     normal_closure,
     verify_theorem,
 )
@@ -444,19 +447,29 @@ def test_lifted_congruence_audit_refuses_corruption(monkeypatch, central, corrup
     ],
 )
 def test_kernel_from_cached_full_congruence_matches_lifting(monkeypatch, rep, n, d):
+    # G(R, I) is the part of the listed C(R, I) that is 1 mod d, already in
+    # G's order, and so are its generators but the central lifts; |C|/|G| is
+    # the number of central scalars of G(Z/p^a) at each p^a exactly dividing d
     monkeypatch.setattr(subgroups, "_CONGRUENCE_CACHE", {})
-    lifted = []
-    monkeypatch.setattr(
-        subgroups, "_lift_congruence", lambda *args: lifted.append(args[-1]) or _LIFT(*args)
-    )
     ring = Ring.mod(n)
     ideal = Ideal.of(ring, [d])
-    enumerate_full_congruence(rep, ring, ideal)
+    cfull = enumerate_full_congruence(rep, ring, ideal)
     kernel = enumerate_congruence_subgroup(rep, ring, ideal)
-    assert lifted == [True]
+    ident = np.eye(rep.block_dims[0], dtype=np.int64)
+
+    def at_one(stack):
+        return stack[np.all((stack - ident) % d == 0, axis=(1, 2))]
+
     stack, size, gens = _LIFT(rep, n, d, 10**8, False)
-    assert np.array_equal(kernel.stack, stack) and kernel.cardinality == size
+    assert np.array_equal(kernel.stack, stack) and np.array_equal(at_one(cfull.stack), stack)
+    scalars = math.prod(
+        len(subgroups._central_scalars(rep, math.gcd(d, p**k)))
+        for p, k in subgroups._prime_powers(n)
+        if d % p == 0
+    )
+    assert kernel.cardinality == size == cfull.cardinality // scalars
     assert np.array_equal(kernel.generator_stack(), gens)
+    assert np.array_equal(at_one(cfull.generator_stack()), gens)
 
 
 def test_huge_ring_refused_before_listing_words():
@@ -614,3 +627,169 @@ def test_comparing_subgroups_over_different_rings_refused():
         with pytest.raises(EnumerationError, match=pattern):
             this.is_subset_of(other)
     assert a2_z4.same_elements(closure([], A2, Z4))
+
+
+def test_close_over_refuses_non_invertible_generators():
+    # no inverse is formed, so the determinant check is what keeps out a
+    # matrix no power of which is 1, for which the monoid argument fails
+    ident = np.eye(3, dtype=np.int64)
+    unit = ident.copy()
+    unit[0, 1] = 1
+    singular = ident.copy()
+    singular[0, 0] = 2
+    for bad in (singular, 2 * ident):
+        sub = EnumeratedSubgroup(A2, Z4, [])
+        with pytest.raises(EnumerationError, match="non-invertible matrix"):
+            sub.close_over(np.stack([unit, bad]), bound=10**6)
+
+
+def _closure_with_inverses(gens, n):
+    """Codes of the group the matrices generate, by a BFS over them and their
+    inverses that keeps one Python set of codes."""
+    dim = gens.shape[1]
+    steps = np.concatenate([gens, _batch_inverse(gens, n)])
+    weights = n ** np.arange(dim * dim, dtype=np.int64)
+    frontier = np.eye(dim, dtype=np.int64)[None]
+    seen = set((frontier.reshape(1, -1) @ weights).tolist())
+    while len(frontier):
+        prods = (frontier[:, None] @ steps[None] % n).reshape(-1, dim, dim)
+        codes, first = np.unique(prods.reshape(len(prods), -1) @ weights, return_index=True)
+        new = np.array([c not in seen for c in codes.tolist()], dtype=bool)
+        seen.update(codes[new].tolist())
+        frontier = prods[first[new]]
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "rep,n,d",
+    [pytest.param(rep, n, d, id=f"{rep.name}-Z{n}-({d})") for rep, n, d in [(A2, 4, 1), (C2, 4, 2), (A2, 8, 2)]],
+)
+def test_generators_only_bfs_matches_closure_with_inverses(rep, n, d, seed):
+    # two or three random elements of G(Z/n, (d)) and x_a(n/4) for a random
+    # root a as generators
+    ring = Ring.mod(n)
+    pool = enumerate_congruence_subgroup(rep, ring, Ideal.of(ring, [d])).stack
+    rng = np.random.default_rng(seed)
+    root = rep.system.roots[rng.integers(len(rep.system.roots))]
+    gens = np.concatenate([
+        pool[rng.choice(len(pool), size=2 + seed % 2, replace=False)],
+        _word_matrices([x_word(root, ring.element(n // 4))], rep, ring),
+    ])
+    sub = EnumeratedSubgroup(rep, ring, [])
+    sub.close_over(gens, bound=10**6)
+    weights = n ** np.arange(gens.shape[1] ** 2, dtype=np.int64)
+    codes = (sub.stack.reshape(len(sub.stack), -1) @ weights).tolist()
+    assert len(codes) == sub.cardinality and set(codes) == _closure_with_inverses(gens, n)
+    assert sub.audit_closure()
+
+
+@pytest.mark.parametrize("rep", [A2, C2], ids=["A2", "C2"])
+def test_centre_order_closed_form_matches_scalar_sweep(rep):
+    for p, top in [(2, 7), (3, 5), (5, 3), (7, 2), (13, 1)]:
+        for a in range(1, top + 1):
+            assert subgroups._centre_order(rep, p, a) == len(subgroups._central_scalars(rep, p**a))
+
+
+@pytest.mark.parametrize("rep,p,order", [(A2, 2, 168), (A2, 3, 5616), (C2, 2, 720)])
+def test_group_order_mod_p_closed_form_matches_sweep(rep, p, order):
+    assert subgroups._group_order_mod_p(rep, p) == len(_sweep_congruence(rep, p, 1)) == order
+
+
+@pytest.mark.parametrize(
+    "stmt,di,dj,verdict,cards",
+    [
+        ("O1", 2, 2, False, {"E(R,IJ)": 1024, "[E(I),E(J)]": 64}),
+        ("T1", 2, 2, True, {"[E(I),E(J)]": 64, "[E(R,I),E(R,J)]": 64}),
+        ("O2", 2, 2, True, {"[E(I),E(J)]": 64, "conjugators": 56}),
+        ("T2", 2, 2, True, {"[E(I),E(J)]": 64, "C(R,J)": 2**20, "[E(I),C(R,J)]": 64}),
+        ("T3", 4, 4, True, {"E(I)": 256, "C(R,I)": 2048}),
+    ],
+)
+def test_c2_z8_verdicts_outside_condition_star(stmt, di, dj, verdict, cards):
+    # Z/8 has residue field F_2, so condition (*) fails for C2; O1 is false
+    # there, while T1, O2, T2 and T3 still hold
+    report = verify_theorem(stmt, "C2", Z8, Ideal.of(Z8, [di]), Ideal.of(Z8, [dj]))
+    assert report.condition_star["satisfied"] is False
+    assert report.error is None and report.verdict is verdict
+    assert report.cardinalities == cards
+
+
+@pytest.mark.parametrize(
+    "n,di,dj,c_size,mixed",
+    # C(R, J) from 2^20 to 9,360,000 elements, none listed; over Z/10 the
+    # listing was refused, as its base layer Sp4(F_5) sweeps 5^16 matrices
+    [(16, 2, 4, 2**21, 64), (8, 2, 2, 2**20, 64), (6, 3, 2, 51840, 1), (10, 5, 2, 9360000, 1)],
+)
+def test_T2_by_certified_generators_on_large_levels(n, di, dj, c_size, mixed):
+    ring = Ring.mod(n)
+    start = time.perf_counter()
+    report = verify_theorem("T2", "C2", ring, Ideal.of(ring, [di]), Ideal.of(ring, [dj]))
+    assert time.perf_counter() - start < 1
+    assert report.error is None and report.verdict is True
+    assert report.cardinalities == {"[E(I),E(J)]": mixed, "C(R,J)": c_size, "[E(I),C(R,J)]": mixed}
+
+
+def test_theorem_path_lists_no_congruence_subgroup(monkeypatch):
+    cases = [(stmt, tag, n, d) for stmt in ("T1", "T2", "T3") for tag, n, d in [("C2", 9, 3), ("A2", 8, 2)]]
+
+    def run(stmt, tag, n, d):
+        ring = Ring.mod(n)
+        return verify_theorem(stmt, tag, ring, Ideal.of(ring, [d]), Ideal.of(ring, [d])).to_json()
+
+    expected = [run(*case) for case in cases]
+    assert all("G(R,I)" in r["cardinalities"] for r in expected if r["statement"] == "T1")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a congruence subgroup was listed")
+
+    for name in ("_lift_layer", "_sweep_congruence", "enumerate_congruence_subgroup", "enumerate_full_congruence"):
+        monkeypatch.setattr(subgroups, name, refuse)
+    assert [run(*case) for case in cases] == expected
+
+
+_BUILD = subgroups._congruence_generators
+_X1 = _word_matrices([x_word(C2.system.roots[0], Z9.one)], C2, Z9)
+
+
+def _with_block(blocks, m, change):
+    """The blocks of C2/Z9/(3), with change applied to the one of layer m."""
+    return [(p, bm, change(g) if bm == m else g) for p, bm, g in blocks]
+
+
+# each corruption of the generators of C2/Z9/(3), which are blocks (3, 0, the
+# lifts of the central scalars, or 1 for G) and (3, 1, the ten layer-1
+# lifts), and the certificate check that must refuse it
+_GENERATOR_CORRUPTIONS = {
+    "off-the-group": (lambda b: _with_block(b, 1, lambda g: _replace_last(g, g[-1] + 3 * _EYE4)), "group equations"),
+    "off-the-level": (lambda b: _with_block(b, 1, lambda g: _replace_last(g, _X1[0])), "level"),
+    "minus-one": (lambda b: _with_block(b, 0, lambda g: -_EYE4[None] % 9), "level"),
+    "layer-dropped": (lambda b: _with_block(b, 1, lambda g: g[:-1]), "rank"),
+    "layer-doubled": (lambda b: _with_block(b, 1, lambda g: np.concatenate([g[:-1], g[:1] @ g[:1] % 9])), "rank"),
+    "central-lift-dropped": (lambda b: _with_block(b, 0, lambda g: g[:1]), "central lift"),
+}
+
+
+@pytest.mark.parametrize(
+    "central,corruption",
+    [
+        (True, "off-the-group"), (False, "off-the-group"), (True, "off-the-level"), (False, "minus-one"),
+        (True, "layer-dropped"), (False, "layer-dropped"), (True, "layer-doubled"), (True, "central-lift-dropped"),
+    ],
+)
+def test_generator_certificate_refuses_corruption(monkeypatch, central, corruption):
+    monkeypatch.setattr(subgroups, "_CONGRUENCE_CACHE", {})
+    corrupt, check = _GENERATOR_CORRUPTIONS[corruption]
+    monkeypatch.setattr(subgroups, "_congruence_generators", lambda *args: corrupt(_BUILD(*args)))
+    kind = "C" if central else "G"
+    message = rf"generators of {kind}\(Z/9, \(3\)\) of C2: {check} check failed"
+    ideal = Ideal.of(Z9, [3])
+    if central:
+        with pytest.raises(EnumerationError, match=message):
+            full_congruence_generators(C2, Z9, ideal)
+        report = verify_theorem("T3", "C2", Z9, ideal, ideal)
+        assert report.verdict is None and re.search(message, report.error)
+    else:
+        with pytest.raises(EnumerationError, match=message):
+            enumerate_congruence_subgroup(C2, Z9, ideal)
+    assert not subgroups._CONGRUENCE_CACHE
