@@ -1,12 +1,16 @@
-"""The closure route to C(R, I), kept as the oracle for the lifting.
+"""Brute-force oracles for the congruence subgroups that chevlab lists.
 
-C(R, I) is the preimage of the centre of G(R/I).  Here the whole reduced
-group E(Z/d) (which is G(Z/d) over the semilocal ring Z/d) is closed from
-its elementary generators, its centre is read off as the elements that
-commute with every generator, and each central element is lifted to a
-scalar mod n and multiplied into G(R, I).  A central class with no scalar
-lift is dropped, which is why this route is only an oracle: it is exact on
-the small cases the tests give it, where every class has a scalar lift.
+``sweep_congruence`` tries every 1 + d M mod n against the group equations:
+(n/d)^(dim^2) candidates, so it serves small levels only.
+
+``full_congruence_by_closure`` is the closure route to C(R, I), the
+preimage of the centre of G(R/I).  Here the whole reduced group E(Z/d)
+(which is G(Z/d) over the semilocal ring Z/d) is closed from its elementary
+generators, its centre is read off as the elements that commute with every
+generator, and each central element is lifted to a scalar mod n and
+multiplied into G(R, I).  A central class with no scalar lift is dropped,
+which is why this route is only an oracle: it is exact on the small cases
+the tests give it, where every class has a scalar lift.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ import numpy as np
 
 from chevlab.rings import Ring
 from chevlab.subgroups import (
+    _CHUNK,
     EnumeratedSubgroup,
     _group_equation_mask,
     _word_matrices,
@@ -21,6 +26,23 @@ from chevlab.subgroups import (
     closure,
     enumerate_congruence_subgroup,
 )
+
+
+def sweep_congruence(rep, n: int, d: int) -> np.ndarray:
+    """Every 1 + d M mod n satisfying the group equations, in the order of
+    the mixed-radix index of M: (n/d)^(dim^2) candidates."""
+    dim = rep.block_dims[0]
+    radix = n // d
+    count = radix ** (dim * dim)
+    ident = np.eye(dim, dtype=np.int64)
+    weights = radix ** np.arange(dim * dim, dtype=np.int64)
+    kept = []
+    for start in range(0, count, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
+        digits = (idx[:, None] // weights[None, :]) % radix
+        cand = (ident[None] + d * digits.reshape(-1, dim, dim)) % n
+        kept.append(cand[_group_equation_mask(rep, cand, n)])
+    return np.concatenate(kept)
 
 
 def reduced_elementary_group(rep, ring, bound):

@@ -1,6 +1,9 @@
 import math
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from chevlab.subgroups import (
     _batch_det,
     _batch_inverse,
     _codes,
-    _sweep_congruence,
+    _normal_closure,
     _word_matrices,
     closure,
     commutator_subgroup,
@@ -27,11 +30,10 @@ from chevlab.subgroups import (
     enumerate_congruence_subgroup,
     enumerate_full_congruence,
     full_congruence_generators,
-    normal_closure,
     verify_theorem,
 )
 from chevlab.words import Word, x_word
-from congruence_oracle import full_congruence_by_closure
+from congruence_oracle import full_congruence_by_closure, sweep_congruence
 from membership_oracle import ByteKeySubgroup
 
 Z4 = Ring.mod(4)
@@ -88,11 +90,19 @@ def _oracle_cases():
                     yield pytest.param(rep, n, d, id=f"{rep.name}-Z{n}-({d})")
 
 
+def _code_set(stack, n):
+    return set(_codes(stack, n).tolist())
+
+
 @pytest.mark.parametrize("rep,n,d", list(_oracle_cases()))
 def test_lifted_congruence_matches_sweep(rep, n, d):
+    # the closure of the certified generators against the brute-force sweep,
+    # as sets: the closure lists in BFS order, the sweep by index
     ring = Ring.mod(n)
-    lifted = enumerate_congruence_subgroup(rep, ring, Ideal.of(ring, [d]))
-    assert np.array_equal(lifted.stack, _sweep_congruence(rep, n, d))
+    listed = enumerate_congruence_subgroup(rep, ring, Ideal.of(ring, [d]))
+    swept = sweep_congruence(rep, n, d)
+    assert listed.cardinality == len(swept)
+    assert _code_set(listed.stack, n) == _code_set(swept, n)
 
 
 @pytest.mark.parametrize(
@@ -120,7 +130,8 @@ def test_congruence_kernel_composite_modulus_past_int32():
     ideal = Ideal.of(ring, [50000])
     kernel = enumerate_congruence_subgroup(C2, ring, ideal)
     assert kernel.cardinality == 2**10
-    assert kernel.audit_direct(_word_matrices(elementary_level_words("C2", ideal), C2, ring))
+    assert kernel.audit_direct()
+    assert closure(elementary_level_words("C2", ideal), C2, ring).is_subset_of(kernel)
 
 
 def test_congruence_kernel_refused_past_int64_products():
@@ -138,7 +149,7 @@ def test_normal_closure_plain_when_no_conjugators():
     ideal = Ideal.of(Z4, [2])
     words = elementary_level_words("A2", ideal)
     plain = closure(words, A2, Z4)
-    normal = normal_closure(words, [], A2, Z4)
+    normal = _normal_closure(A2, Z4, words, _word_matrices(words, A2, Z4), 10**6)
     assert plain.same_elements(normal)
 
 
@@ -148,12 +159,9 @@ def test_relative_subgroup_equals_normal_closure():
     rel = closure(relative_generators("A2", ideal), A2, Z8)
     from chevlab.subgroups import absolute_elementary_words
 
-    normal = normal_closure(
-        elementary_level_words("A2", ideal),
-        absolute_elementary_words("A2", Z8),
-        A2,
-        Z8,
-    )
+    seed = _word_matrices(elementary_level_words("A2", ideal), A2, Z8)
+    conj = _word_matrices(absolute_elementary_words("A2", Z8), A2, Z8)
+    normal = _normal_closure(A2, Z8, [], seed, 10**6, conj)
     assert rel.same_elements(normal)
 
 
@@ -280,14 +288,18 @@ def test_lifted_full_congruence_matches_closure_route(rep, n, d):
 @pytest.mark.parametrize("central", [False, True], ids=["G", "C"])
 @pytest.mark.parametrize("rep,n,d", _FULL_CONGRUENCE_CASES)
 def test_lifted_generators_generate_the_set(monkeypatch, rep, n, d, central):
-    # both sets lifted afresh, so G does not come from a cached C
+    # the listing closes the certified generators by right products alone;
+    # the oracle closes them and their inverses with a plain set of codes
     monkeypatch.setattr(subgroups, "_CONGRUENCE_CACHE", {})
     ring = Ring.mod(n)
+    ideal = Ideal.of(ring, [d])
     build = enumerate_full_congruence if central else enumerate_congruence_subgroup
-    lifted = build(rep, ring, Ideal.of(ring, [d]))
-    closed = EnumeratedSubgroup(rep, ring, [])
-    closed.close_over(lifted.generator_stack(), bound=10**6)
-    assert closed.same_elements(lifted)
+    listed = build(rep, ring, ideal)
+    size, gens = subgroups._certified_generators(rep, ring, ideal, 10**6, central)
+    assert listed.cardinality == size
+    weights = n ** np.arange(gens.shape[1] ** 2, dtype=np.int64)
+    codes = (listed.stack.reshape(size, -1) @ weights).tolist()
+    assert set(codes) == _closure_with_inverses(gens, n)
 
 
 def _all_conjugates_inside(sub, conj, gens):
@@ -368,16 +380,12 @@ def test_oldie6_generators_reproduce_relative_commutator():
 
 
 def test_congruence_refusal_counts_the_sweeps_lifting_runs(monkeypatch):
-    # G(Z/8, (2)) lifts from {1} mod 2 and sweeps no candidates; the old
-    # refusal counted the 4^9 = 262144 matrices 1 + 2M of a full sweep
-    from chevlab import subgroups
-
+    # the listing is refused by the closed-form order before anything is
+    # closed, also at a prime of n that d misses (SL3(F_3) inside G(Z/6, (2)))
     monkeypatch.setattr(subgroups, "_CONGRUENCE_CACHE", {})
     audits = []
     audit = EnumeratedSubgroup.audit_direct
-    monkeypatch.setattr(
-        EnumeratedSubgroup, "audit_direct", lambda self, probe: audits.append(1) or audit(self, probe)
-    )
+    monkeypatch.setattr(EnumeratedSubgroup, "audit_direct", lambda self: audits.append(1) or audit(self))
     ideal = Ideal.of(Z8, [2])
     with pytest.raises(BoundExceeded, match="65536 elements"):
         enumerate_congruence_subgroup(A2, Z8, ideal, bound=65535)
@@ -386,11 +394,29 @@ def test_congruence_refusal_counts_the_sweeps_lifting_runs(monkeypatch):
     # the bound still caps a kernel taken from the cache
     with pytest.raises(BoundExceeded, match="65536 elements"):
         enumerate_congruence_subgroup(A2, Z8, ideal, bound=65535)
-    # base-layer sweeps are counted for the primes of n that d misses:
-    # 3^9 for G(F_3) inside G(Z/6, (2))
     ring = Ring.mod(6)
-    with pytest.raises(BoundExceeded, match="needs 19683 candidates"):
-        enumerate_congruence_subgroup(A2, ring, Ideal.of(ring, [2]), bound=19682)
+    with pytest.raises(BoundExceeded, match="5616 elements"):
+        enumerate_congruence_subgroup(A2, ring, Ideal.of(ring, [2]), bound=5615)
+    assert enumerate_congruence_subgroup(A2, ring, Ideal.of(ring, [2]), bound=5616).cardinality == 5616
+
+
+def test_enumerators_default_to_the_element_bound():
+    # 3^16 elements in G(Z/27, (3)), refused from the closed form at once
+    ring = Ring.mod(27)
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded, match=f"{3**16} elements"):
+        enumerate_congruence_subgroup(A2, ring, Ideal.of(ring, [3]))
+    assert time.perf_counter() - start < 1
+
+
+def test_full_congruence_c2_z6_listed_in_seconds(monkeypatch):
+    # C(Z/6, (2)) is Sp4(F_3) at 3: 51,840 of the 3^16 matrices mod 3
+    monkeypatch.setattr(subgroups, "_CONGRUENCE_CACHE", {})
+    ring = Ring.mod(6)
+    start = time.perf_counter()
+    cfull = enumerate_full_congruence(C2, ring, Ideal.of(ring, [2]))
+    assert time.perf_counter() - start < 2
+    assert cfull.cardinality == 51840
 
 
 def _replace_last(stack, matrix):
@@ -398,45 +424,55 @@ def _replace_last(stack, matrix):
 
 
 _EYE4 = np.eye(4, dtype=np.int64)
-_LIFT = subgroups._lift_congruence
-# each corruption of the lifted stack of C2/Z9/(3), and the audit check that
-# must refuse it; the closed form the lifting returns is kept
+_CERTIFY = subgroups._certify_generators
+# each corruption of the certified generators of C2/Z9/(3) -- for C the lift
+# of -1 and then the ten layer-1 lifts, for G the ten alone -- and the listing
+# check that must refuse their closure.  The first layer-1 lift x = 1 + 3 z is
+# the one changed or dropped: the lift of -1 squares to 1 + 3 h, h diagonal,
+# whose coordinates do not involve z, so it cannot stand in for x
 _CORRUPTIONS = {
-    "off-the-group": (lambda s: _replace_last(s, s[-1] + 3 * _EYE4), "group equations"),
-    "duplicated": (lambda s: np.concatenate([s, s[:1]]), "distinctness"),
-    "dropped": (lambda s: s[:-1], "count"),
-    "root-element": (
-        lambda s: _replace_last(s, _word_matrices([x_word(C2.system.roots[0], Z9.one)], C2, Z9)[0]),
-        "level",
+    "off-the-group": (
+        lambda g: np.concatenate([g[:-10], (g[-10:-9] + 3 * _EYE4) % 9, g[-9:]]),
+        "group equations",
     ),
-    "minus-one": (lambda s: _replace_last(s, -_EYE4), "level"),
-    "G-as-C": (lambda s: _LIFT(C2, 9, 3, 10**8, False)[0], "count"),
+    "dropped": (lambda g: np.delete(g, len(g) - 10, axis=0), "count"),
+    "root-element": (
+        lambda g: _replace_last(g, _word_matrices([x_word(C2.system.roots[0], Z9.one)], C2, Z9)[0]),
+        "count",
+    ),
+    "minus-one": (lambda g: _replace_last(g, -_EYE4), "level"),
+    "G-as-C": (lambda g: g[1:], "count"),
 }
 
 
 @pytest.mark.parametrize(
     "central,corruption",
     [
-        (False, "off-the-group"), (True, "off-the-group"),
-        (False, "duplicated"), (True, "duplicated"),
-        (False, "dropped"), (True, "dropped"),
+        (False, "off-the-group"), (True, "off-the-group"), (False, "dropped"), (True, "dropped"),
         (True, "root-element"), (False, "minus-one"), (True, "G-as-C"),
     ],
 )
 def test_lifted_congruence_audit_refuses_corruption(monkeypatch, central, corruption):
+    # the certificate is bypassed, so only the listing checks stand between
+    # the corrupted generators and the cache
     monkeypatch.setattr(subgroups, "_CONGRUENCE_CACHE", {})
     corrupt, check = _CORRUPTIONS[corruption]
-
-    def corrupted(*args):
-        stack, size, gens = _LIFT(*args)
-        return corrupt(stack), size, gens
-
-    monkeypatch.setattr(subgroups, "_lift_congruence", corrupted)
+    monkeypatch.setattr(subgroups, "_certify_generators", lambda *args: corrupt(_CERTIFY(*args)))
     build = enumerate_full_congruence if central else enumerate_congruence_subgroup
     kind = "C" if central else "G"
-    with pytest.raises(EnumerationError, match=rf"lifted {kind}\(Z/9, \(3\)\) of C2: {check} check failed"):
+    with pytest.raises(EnumerationError, match=rf"listed {kind}\(Z/9, \(3\)\) of C2: {check} check failed"):
         build(C2, Z9, Ideal.of(Z9, [3]))
-    assert not subgroups._CONGRUENCE_CACHE
+    assert not any(isinstance(v, EnumeratedSubgroup) for v in subgroups._CONGRUENCE_CACHE.values())
+
+
+def test_audit_direct_refuses_a_set_not_closed():
+    # G(Z/4, (2)) of C2 with its last listed element dropped
+    kernel = enumerate_congruence_subgroup(C2, Z4, Ideal.of(Z4, [2]))
+    partial = EnumeratedSubgroup(C2, Z4, [])
+    partial._add_batch(kernel.stack[:-1], 10**6)
+    partial._min_gens = list(kernel.generator_stack())
+    with pytest.raises(EnumerationError, match="closure check failed"):
+        partial.audit_direct()
 
 
 @pytest.mark.parametrize(
@@ -447,9 +483,9 @@ def test_lifted_congruence_audit_refuses_corruption(monkeypatch, central, corrup
     ],
 )
 def test_kernel_from_cached_full_congruence_matches_lifting(monkeypatch, rep, n, d):
-    # G(R, I) is the part of the listed C(R, I) that is 1 mod d, already in
-    # G's order, and so are its generators but the central lifts; |C|/|G| is
-    # the number of central scalars of G(Z/p^a) at each p^a exactly dividing d
+    # G(R, I) is the part of C(R, I) that is 1 mod d, and its certified
+    # generators are those of C but the central lifts; |C|/|G| is the number
+    # of central scalars of G(Z/p^a) at each p^a exactly dividing d
     monkeypatch.setattr(subgroups, "_CONGRUENCE_CACHE", {})
     ring = Ring.mod(n)
     ideal = Ideal.of(ring, [d])
@@ -460,16 +496,16 @@ def test_kernel_from_cached_full_congruence_matches_lifting(monkeypatch, rep, n,
     def at_one(stack):
         return stack[np.all((stack - ident) % d == 0, axis=(1, 2))]
 
-    stack, size, gens = _LIFT(rep, n, d, 10**8, False)
-    assert np.array_equal(kernel.stack, stack) and np.array_equal(at_one(cfull.stack), stack)
+    assert _code_set(kernel.stack, n) == _code_set(at_one(cfull.stack), n)
     scalars = math.prod(
         len(subgroups._central_scalars(rep, math.gcd(d, p**k)))
         for p, k in subgroups._prime_powers(n)
         if d % p == 0
     )
-    assert kernel.cardinality == size == cfull.cardinality // scalars
-    assert np.array_equal(kernel.generator_stack(), gens)
-    assert np.array_equal(at_one(cfull.generator_stack()), gens)
+    assert kernel.cardinality == cfull.cardinality // scalars
+    g_gens = subgroups._certified_generators(rep, ring, ideal, 10**6, False)[1]
+    c_gens = full_congruence_generators(rep, ring, ideal)[1]
+    assert np.array_equal(at_one(c_gens), g_gens)
 
 
 def test_huge_ring_refused_before_listing_words():
@@ -693,7 +729,13 @@ def test_centre_order_closed_form_matches_scalar_sweep(rep):
 
 @pytest.mark.parametrize("rep,p,order", [(A2, 2, 168), (A2, 3, 5616), (C2, 2, 720)])
 def test_group_order_mod_p_closed_form_matches_sweep(rep, p, order):
-    assert subgroups._group_order_mod_p(rep, p) == len(_sweep_congruence(rep, p, 1)) == order
+    # G(F_p) listed as the closure of the x_a(1), against Steinberg's order
+    # and the sweep of all p^(dim^2) matrices
+    ring = Ring.mod(p)
+    listed = enumerate_congruence_subgroup(rep, ring, Ideal.of(ring, [1])).stack
+    swept = sweep_congruence(rep, p, 1)
+    assert subgroups._group_order_mod_p(rep, p) == len(swept) == len(listed) == order
+    assert _code_set(listed, p) == _code_set(swept, p)
 
 
 @pytest.mark.parametrize(
@@ -743,7 +785,7 @@ def test_theorem_path_lists_no_congruence_subgroup(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a congruence subgroup was listed")
 
-    for name in ("_lift_layer", "_sweep_congruence", "enumerate_congruence_subgroup", "enumerate_full_congruence"):
+    for name in ("_congruence", "enumerate_congruence_subgroup", "enumerate_full_congruence"):
         monkeypatch.setattr(subgroups, name, refuse)
     assert [run(*case) for case in cases] == expected
 
@@ -793,3 +835,50 @@ def test_generator_certificate_refuses_corruption(monkeypatch, central, corrupti
         with pytest.raises(EnumerationError, match=message):
             enumerate_congruence_subgroup(C2, Z9, ideal)
     assert not subgroups._CONGRUENCE_CACHE
+
+
+def test_t1_side_data_gated_on_the_closed_form():
+    # |G(Z/7, (1))| = |SL3(F_7)| = 5,630,688 is past the element bound, so T1
+    # reports no E(R,I)/G(R,I) side data instead of losing its verdict to
+    # the closure of E(R, R)
+    ring = Ring.mod(7)
+    report = verify_theorem("T1", "A2", ring, Ideal.of(ring, [1]), Ideal.of(ring, [0]))
+    assert report.error is None and report.verdict is True
+    assert report.cardinalities == {"[E(I),E(J)]": 1, "[E(R,I),E(R,J)]": 1}
+    assert report.notes == []
+
+
+def test_central_scalars_swept_once_per_level(monkeypatch):
+    # the certified generators of C(R, J) are cached; each call still checks
+    # the closed form against its bound
+    monkeypatch.setattr(subgroups, "_CONGRUENCE_CACHE", {})
+    sweeps = []
+    sweep = subgroups._central_scalars
+    monkeypatch.setattr(subgroups, "_central_scalars", lambda *args: sweeps.append(args[1]) or sweep(*args))
+    ring = Ring.mod(2000006)
+    ideal = Ideal.of(ring, [1000003])
+    for stmt in ("T2", "T3"):
+        report = verify_theorem(stmt, "C2", ring, ideal, ideal)
+        assert report.error is None and report.verdict is True
+    # C(R, J) is Sp4(F_2) x {+-1}; listed and cached, it is refused as before
+    assert enumerate_full_congruence(C2, ring, ideal, bound=2 * 10**6).cardinality == 1440
+    assert sweeps == [1000003]
+    for build in (full_congruence_generators, enumerate_full_congruence):
+        with pytest.raises(BoundExceeded, match="needs 1000003 candidates"):
+            build(C2, ring, ideal, bound=10**6)
+
+
+def test_benchmark_tracer_finds_the_names_it_wraps():
+    # the traced benchmark wraps chevlab functions by name and clears the
+    # congruence cache between rounds
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
+        "from spans import Tracer, install\n"
+        "from chevlab import subgroups\n"
+        "install(Tracer())\n"
+        "subgroups._CONGRUENCE_CACHE.clear()\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
