@@ -27,15 +27,13 @@ from .factorize import (
 from .reps import get_representation, verify_steinberg
 from .rings import Ideal, ParseError, Ring, RingError, enumerate_elements, parse_ideal, parse_ring
 from .roots import MainLemmaCase, RootSystemError, get_system
-from .subgroups import (
-    DEFAULT_CANDIDATE_BOUND,
-    DEFAULT_ELEMENT_BOUND,
-    verify_theorem,
-)
+from .subgroups import DEFAULT_ELEMENT_BOUND, verify_theorem
 from .words import certificate_to_json, evaluate, word_to_sexpr
 
 SYSTEMS = ("A2", "C2", "G2")
 STATEMENTS = ("T1", "T2", "T3", "O1", "O2")
+# the task parameters the command line forwards; a campaign may also set seed
+PARAMS = ("type", "case", "ring", "ideal", "ideal_i", "ideal_j", "stmt", "samples", "bound")
 
 
 class TaskError(Exception):
@@ -244,8 +242,7 @@ def task_bruteforce(params: dict) -> tuple[dict, bool]:
     ideal_i = parse_ideal(ring, str(params["ideal_i"]))
     ideal_j = parse_ideal(ring, str(params.get("ideal_j", params["ideal_i"])))
     bound = int(params.get("bound", DEFAULT_ELEMENT_BOUND))
-    candidate_bound = int(params.get("candidate_bound", DEFAULT_CANDIDATE_BOUND))
-    report = verify_theorem(stmt, tag, ring, ideal_i, ideal_j, bound, candidate_bound)
+    report = verify_theorem(stmt, tag, ring, ideal_i, ideal_j, bound)
     if report.error is not None:
         return report.to_json(), None
     return report.to_json(), report.verdict is True
@@ -347,6 +344,16 @@ def validate_task(command: str, params: dict) -> None:
     """Cheap validation of a task before anything runs."""
     if command not in TASKS:
         raise TaskError(f"unknown command {command!r}")
+    unknown = sorted(set(params) - {*PARAMS, "seed"})
+    if unknown:
+        raise TaskError(f"{command} takes no parameter {', '.join(map(repr, unknown))}")
+    if "samples" in params:
+        try:
+            samples = int(params["samples"])
+        except (TypeError, ValueError):
+            samples = 0
+        if samples < 1:
+            raise TaskError(f"{command} needs an integer samples >= 1, got {params['samples']!r}")
     if "type" in params:
         _require_system(params["type"])
     if "case" in params:
@@ -479,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal-i", dest="ideal_i", required=True)
     p.add_argument("--ideal-j", dest="ideal_j")
     p.add_argument("--bound", type=int, default=DEFAULT_ELEMENT_BOUND)
-    p.add_argument("--candidate-bound", type=int, default=DEFAULT_CANDIDATE_BOUND)
 
     p = sub.add_parser("dump-constants", parents=[common])
     p.add_argument("--type", required=True, choices=SYSTEMS)
@@ -510,18 +516,7 @@ def _args_to_task(args: argparse.Namespace) -> dict:
     if command in ("verify", "factorize"):
         command = f"{command}-{args.what}"
     params = {}
-    for key in (
-        "type",
-        "case",
-        "ring",
-        "ideal",
-        "ideal_i",
-        "ideal_j",
-        "stmt",
-        "samples",
-        "bound",
-        "candidate_bound",
-    ):
+    for key in PARAMS:
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val

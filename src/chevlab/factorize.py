@@ -622,6 +622,8 @@ def levi_commutator_check(
     confirm each commutator lands in the radical at level I*J."""
     if ring.kind != "Zn":
         raise InfiniteRing("the sampled check needs a finite ring")
+    if samples < 1:
+        raise FactorizationError(f"the sampled Levi check needs at least one sample, got {samples}")
     rep = get_representation(parabolic.system.type_tag)
     radical = parabolic.U_minus_roots if minus_side else parabolic.U_roots
     alpha_r = parabolic.levi_roots[0]

@@ -422,14 +422,6 @@ class Ideal:
             terms.append(single[0])
         return Ideal(ring, _normalize_terms(ring, terms))
 
-    @staticmethod
-    def zero(ring: Ring) -> "Ideal":
-        return Ideal.of(ring, [])
-
-    @staticmethod
-    def unit(ring: Ring) -> "Ideal":
-        return Ideal.of(ring, [ring.one])
-
     # -- membership ----------------------------------------------------------
 
     def contains(self, x: RingElement) -> bool:

@@ -67,8 +67,10 @@ matrices, distinct mod p^a and 1 at the other primes; by checks 1 and 2
 they are central scalars there, so they are one lift of each.  With the base
 at the primes not dividing d, the generators then generate the group whose
 order is the closed form.  A failed check raises EnumerationError naming
-it, G or C, the ring and the level.  The certified set is cached per level,
-so the central scalars of C are swept once.
+it, G or C, the ring and the level.  The central scalars are constructed,
+not searched (``_central_scalars``): 1 alone, the four s = +-1, q/2 +- 1
+for Sp4 over Z/q, q = 2^a with a >= 3, or else the powers of one s != 1
+with s^e = 1 in the cyclic group (Z/q)^*; check 4 counts them apart.
 
 ``enumerate_congruence_subgroup`` and ``enumerate_full_congruence`` list
 every element, for the tests and for callers that want the sets; no
@@ -112,7 +114,6 @@ class UnsupportedType(EnumerationError):
 
 
 DEFAULT_ELEMENT_BOUND = 10**6
-DEFAULT_CANDIDATE_BOUND = 10**8
 _CHUNK = 1 << 18
 # images per batch of the conjugation loop: its product temporaries and
 # membership keys stay below those of one product over a 10^5-element stack
@@ -469,24 +470,19 @@ def _require_enumerable(rep: Representation, ring: Ring) -> None:
 # congruence subgroups: closed-form orders, certified generators, listing
 
 
-# listed sets under (type, ring, ideal), with "C" appended for C(R, I), and
-# certified generating sets under ("generators", type, ring, ideal, central)
+# listed sets under (type, ring, ideal), with "C" appended for C(R, I)
 _CONGRUENCE_CACHE: dict = {}
 
 
-def full_congruence_generators(
-    rep: Representation,
-    ring: Ring,
-    ideal: Ideal,
-    bound: int = DEFAULT_CANDIDATE_BOUND,
-) -> tuple[int, np.ndarray]:
+def full_congruence_generators(rep: Representation, ring: Ring, ideal: Ideal) -> tuple[int, np.ndarray]:
     """|C(R, I)| in closed form and a generating set of C(R, I), certified
     by the generator checks of the module docstring; no element of C is
-    listed.  Refused for the zero and unit ideals, and when |C(R, I)| or the
-    scalars swept for its centre exceed the bound."""
+    listed, so no size is refused.  Refused for the zero and unit ideals."""
     _require_enumerable(rep, ring)
-    _require_proper_level(ring.modulus, ideal.gens[0])
-    return _certified_generators(rep, ring, ideal, bound, central=True)
+    n, (d,) = ring.modulus, ideal.gens
+    _require_proper_level(n, d)
+    gens = _certify_generators(rep, n, d, True, _congruence_generators(rep, n, d, True))
+    return _congruence_order(rep, n, d, True), gens
 
 
 def enumerate_congruence_subgroup(
@@ -513,8 +509,8 @@ def enumerate_full_congruence(
     G(R/I), every element listed.  Closed from the generators of G(R, I)
     and one lift of each central scalar of G(Z/p^a) at each p^a exactly
     dividing d; cached, bounded and audited like G(R, I).  Refused for the
-    zero and unit ideals, and when the closed-form order or the scalars
-    swept for the centre exceed the bound."""
+    zero and unit ideals, and when the closed-form order exceeds the
+    bound."""
     _require_enumerable(rep, ring)
     _require_proper_level(ring.modulus, ideal.gens[0])
     return _congruence(rep, ring, ideal, bound, central=True)
@@ -525,22 +521,6 @@ def _require_proper_level(n: int, d: int) -> None:
         raise EnumerationError("full congruence enumeration needs a proper nonzero level")
 
 
-def _certified_generators(
-    rep: Representation, ring: Ring, ideal: Ideal, bound: int, central: bool
-) -> tuple[int, np.ndarray]:
-    """|G(R, I)|, or |C(R, I)| when central, in closed form and checked
-    against the bound on every call, with the certified generating set.  The
-    set is cached, so the central scalars are swept once per level."""
-    n, (d,) = ring.modulus, ideal.gens
-    size = _congruence_order(rep, n, d, bound, central)
-    key = ("generators", rep.name, ring, ideal, central)
-    if key not in _CONGRUENCE_CACHE:
-        gens = _certify_generators(rep, n, d, central, _congruence_generators(rep, n, d, central))
-        gens.setflags(write=False)  # every caller gets the same array
-        _CONGRUENCE_CACHE[key] = gens
-    return size, _CONGRUENCE_CACHE[key]
-
-
 def _congruence(
     rep: Representation, ring: Ring, ideal: Ideal, bound: int, central: bool
 ) -> EnumeratedSubgroup:
@@ -548,11 +528,14 @@ def _congruence(
     certified generators, audited and cached.  The bound is checked against
     the closed form on every call, so a cached set is refused as a new one."""
     _require_enumerable(rep, ring)
-    size, gens = _certified_generators(rep, ring, ideal, bound, central)
+    n, (d,) = ring.modulus, ideal.gens
+    size = _congruence_order(rep, n, d, central)
+    if size > bound:
+        raise BoundExceeded(f"congruence subgroup has {size} elements (> {bound})", 0)
     cache_key = (rep.name, ring, ideal) + (("C",) if central else ())
     if cache_key in _CONGRUENCE_CACHE:
         return _CONGRUENCE_CACHE[cache_key]
-    (d,) = ideal.gens
+    gens = _certify_generators(rep, n, d, central, _congruence_generators(rep, n, d, central))
     where = f"listed {'C' if central else 'G'}({ring}, {ideal}) of {rep.name}"
     # the audit of the module docstring; a closure past the closed form is
     # stopped there and fails check 3
@@ -607,28 +590,20 @@ def _filtration(n: int, d: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _congruence_order(rep: Representation, n: int, d: int, bound: int, central: bool) -> int:
+def _congruence_order(rep: Representation, n: int, d: int, central: bool) -> int:
     """|G(Z/n, (d))|, or |C(Z/n, (d))| when central, in closed form.
 
     At each p^k exactly dividing n the factor is |base| p^(dim G (k - level)):
     the base is {1}, or for C the centre of G(Z/p^a), at level a >= 1, and
-    G(F_p) at level 1 when p does not divide d.  Refused first when the p^a
-    scalars swept for the centre of C exceed the bound, then as soon as the
-    product passes the bound."""
+    G(F_p) at level 1 when p does not divide d."""
     dim_g = len(rep.system.roots) + rep.system.rank
-    primes = _filtration(n, d)
-    count = sum(p**a for p, _, a in primes if a) if central else 0
-    if count > bound:
-        raise BoundExceeded(f"congruence enumeration needs {count} candidates (> {bound})", 0)
     size = 1
-    for p, k, a in primes:
+    for p, k, a in _filtration(n, d):
         if a:
             base = _centre_order(rep, p, a) if central else 1
         else:
             base = _group_order_mod_p(rep, p)
         size *= base * p ** (dim_g * (k - max(a, 1)))
-        if size > bound:
-            raise BoundExceeded(f"congruence subgroup has {size} elements (> {bound})", 0)
     return size
 
 
@@ -651,7 +626,7 @@ def _congruence_generators(
     for p, k, a in _filtration(n, d):
         q = p**k
         if a:
-            prime_blocks = [_central_scalars(rep, p**a) if central else ident[None]]
+            prime_blocks = [_central_scalars(rep, p, a) if central else ident[None]]
         else:
             ring = Ring.mod(q)
             prime_blocks = [_word_matrices(_root_words(rep.system.type_tag, [ring.one]), rep, ring)]
@@ -715,16 +690,23 @@ def _certify_generators(rep: Representation, n: int, d: int, central: bool, bloc
     return gens[np.any(gens != ident, axis=(1, 2))]
 
 
-def _central_scalars(rep: Representation, q: int) -> np.ndarray:
-    """The scalar matrices s 1 mod q that satisfy the group equations mod q,
-    which make up the centre of G(Z/q)."""
-    dim = rep.block_dims[0]
-    ident = np.eye(dim, dtype=np.int64)
-    kept = []
-    for start in range(0, q, _CHUNK):
-        cand = np.arange(start, min(start + _CHUNK, q), dtype=np.int64)[:, None, None] * ident
-        kept.append(cand[_group_equation_mask(rep, cand, q)])
-    return np.concatenate(kept)
+def _central_scalars(rep: Representation, p: int, a: int) -> np.ndarray:
+    """The centre of G(Z/q), q = p^a: the scalar matrices s 1 with s^e = 1
+    mod q, ascending in s, built from their number ``_centre_order``.  One
+    is 1 alone; four is Sp4 over Z/2^a, a >= 3, with s = +-1 and q/2 +- 1;
+    otherwise the number is the prime e and (Z/q)^* is cyclic of order
+    phi(q), so the powers of any b^(phi(q)/e) != 1 are the e-th roots of 1."""
+    q = p**a
+    count = _centre_order(rep, p, a)
+    if count == 1:
+        roots = [1]
+    elif count == 4:
+        roots = [1, q // 2 - 1, q // 2 + 1, q - 1]
+    else:
+        phi = q // p * (p - 1)
+        s = next(t for t in (pow(b, phi // count, q) for b in range(2, q) if b % p) if t != 1)
+        roots = sorted(pow(s, i, q) for i in range(count))
+    return np.array(roots, dtype=np.int64)[:, None, None] * np.eye(rep.block_dims[0], dtype=np.int64)
 
 
 def _lift_constants(rep: Representation, layer: np.ndarray, p: int, m: int) -> np.ndarray:
@@ -871,7 +853,6 @@ def verify_theorem(
     ideal_i: Ideal,
     ideal_j: Ideal,
     bound: int = DEFAULT_ELEMENT_BOUND,
-    candidate_bound: int = DEFAULT_CANDIDATE_BOUND,
 ) -> TheoremReport:
     """Brute-force one of the subgroup statements T1, T2, T3, O1, O2."""
     report = TheoremReport(
@@ -884,14 +865,14 @@ def verify_theorem(
         condition_star=condition_star(system_tag, ring).to_json(),
     )
     try:
-        _dispatch_theorem(statement, system_tag, ring, ideal_i, ideal_j, bound, candidate_bound, report)
+        _dispatch_theorem(statement, system_tag, ring, ideal_i, ideal_j, bound, report)
     except (BoundExceeded, EnumerationError, UnsupportedType, InfiniteRing) as exc:
         report.error = f"{type(exc).__name__}: {exc}"
         report.verdict = None
     return report
 
 
-def _dispatch_theorem(statement, system_tag, ring, ideal_i, ideal_j, bound, candidate_bound, report):
+def _dispatch_theorem(statement, system_tag, ring, ideal_i, ideal_j, bound, report):
     rep = get_representation(system_tag)
     # refuse a ring too large for int64 products, then more words than the
     # bound: the level words, and T1's relative, O1's of IJ or O2's absolute
@@ -924,7 +905,7 @@ def _dispatch_theorem(statement, system_tag, ring, ideal_i, ideal_j, bound, cand
         # compares to the principal congruence subgroup at this level
         # at a nonzero level whose closed-form |G(R,I)| is within the bound
         (d,) = ideal_i.gens
-        g_size = _congruence_order(rep, n, d, math.inf, central=False)
+        g_size = _congruence_order(rep, n, d, central=False)
         if d % n and g_size <= bound:
             report.cardinalities["E(R,I)"] = closure(rel_i, rep, ring, bound).cardinality
             report.cardinalities["G(R,I)"] = g_size
@@ -950,7 +931,7 @@ def _dispatch_theorem(statement, system_tag, ring, ideal_i, ideal_j, bound, cand
         report.verdict = not len(outside)
     elif statement == "T2":
         lhs = commutator_subgroup(e_i, e_j, rep, ring, bound)
-        c_size, c_gens = full_congruence_generators(rep, ring, ideal_j, candidate_bound)
+        c_size, c_gens = full_congruence_generators(rep, ring, ideal_j)
         mixed = commutator_subgroup(e_i, c_gens, rep, ring, bound)
         report.cardinalities = {
             "[E(I),E(J)]": lhs.cardinality,
@@ -960,7 +941,7 @@ def _dispatch_theorem(statement, system_tag, ring, ideal_i, ideal_j, bound, cand
         report.verdict = mixed.same_elements(lhs)
     elif statement == "T3":
         e_sub = closure(e_i, rep, ring, bound)
-        c_size, c_gens = full_congruence_generators(rep, ring, ideal_i, candidate_bound)
+        c_size, c_gens = full_congruence_generators(rep, ring, ideal_i)
         outside = e_sub.missing_conjugates(c_gens, _word_matrices(e_i, rep, ring))
         report.cardinalities = {
             "E(I)": e_sub.cardinality,

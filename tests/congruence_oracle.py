@@ -2,6 +2,7 @@
 
 ``sweep_congruence`` tries every 1 + d M mod n against the group equations:
 (n/d)^(dim^2) candidates, so it serves small levels only.
+``sweep_central_scalars`` tries every scalar s 1 mod q the same way.
 
 ``full_congruence_by_closure`` is the closure route to C(R, I), the
 preimage of the centre of G(R/I).  Here the whole reduced group E(Z/d)
@@ -42,6 +43,17 @@ def sweep_congruence(rep, n: int, d: int) -> np.ndarray:
         digits = (idx[:, None] // weights[None, :]) % radix
         cand = (ident[None] + d * digits.reshape(-1, dim, dim)) % n
         kept.append(cand[_group_equation_mask(rep, cand, n)])
+    return np.concatenate(kept)
+
+
+def sweep_central_scalars(rep, q: int) -> np.ndarray:
+    """The scalar matrices s 1 mod q, ascending in s, that satisfy the
+    group equations mod q: the centre of G(Z/q), from q candidates."""
+    ident = np.eye(rep.block_dims[0], dtype=np.int64)
+    kept = []
+    for start in range(0, q, _CHUNK):
+        cand = np.arange(start, min(start + _CHUNK, q), dtype=np.int64)[:, None, None] * ident
+        kept.append(cand[_group_equation_mask(rep, cand, q)])
     return np.concatenate(kept)
 
 

@@ -127,3 +127,34 @@ def test_bound_exceeded_is_an_error_result():
     entry = report["tasks"][0]
     assert entry["status"] == "error"
     assert "BoundExceeded" in entry["result"]["error"]
+
+
+@pytest.mark.parametrize(
+    "command,params,key",
+    [
+        # the hyphenated keys were ignored, and (1),(1) checked under (2),(4)
+        ("verify-main-lemma", {"case": "A2", "ring": "Z/8", "ideal-i": "2", "ideal-j": "4"}, "'ideal-i', 'ideal-j'"),
+        ("bruteforce", {"stmt": "T2", "type": "C2", "ring": "Z/9", "ideal_i": "3", "candidate_bound": 5}, "'candidate_bound'"),
+    ],
+)
+def test_unread_params_refused(command, params, key):
+    with pytest.raises(TaskError, match=f"{command} takes no parameter {key}"):
+        validate_task(command, params)
+    # a campaign validates every task before it runs any
+    with pytest.raises(TaskError):
+        run_campaign([{"command": command, "params": params}], seed=0, with_timings=False)
+
+
+def test_candidate_bound_flag_is_gone(capsys):
+    argv = ["bruteforce", "--stmt", "T2", "--type", "C2", "--ring", "Z/9", "--ideal-i", "3", "--candidate-bound", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--candidate-bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", [-5, 0])
+def test_levi_without_samples_refused(samples, capsys):
+    argv = ["verify", "levi", "--type", "A2", "--ring", "Z/8", "--ideal-i", "2", "--ideal-j", "2"]
+    assert main(argv + ["--samples", str(samples)]) == 2
+    assert f"needs an integer samples >= 1, got {samples}" in capsys.readouterr().err

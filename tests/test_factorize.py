@@ -5,6 +5,7 @@ import pytest
 from chevlab.factorize import (
     CaseMismatch,
     ConditionStar,
+    FactorizationError,
     NotShortRoot,
     ParabolicData,
     ResidueFieldF2,
@@ -207,6 +208,15 @@ def test_levi_check_small_runs():
         for minus in (False, True):
             rep = levi_commutator_check(p, ideal, ideal, ring, 50, seed=1, minus_side=minus)
             assert rep.passed
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_levi_check_refuses_no_samples(samples):
+    ring = Ring.mod(8)
+    ideal = Ideal.of(ring, [2])
+    p = ParabolicData.for_simple(get_system("A2"), 1)
+    with pytest.raises(FactorizationError, match=f"at least one sample, got {samples}"):
+        levi_commutator_check(p, ideal, ideal, ring, samples)
 
 
 def test_levi_check_c2_z27_sample():

@@ -33,7 +33,7 @@ from chevlab.subgroups import (
     verify_theorem,
 )
 from chevlab.words import Word, x_word
-from congruence_oracle import full_congruence_by_closure, sweep_congruence
+from congruence_oracle import full_congruence_by_closure, sweep_central_scalars, sweep_congruence
 from membership_oracle import ByteKeySubgroup
 
 Z4 = Ring.mod(4)
@@ -295,7 +295,8 @@ def test_lifted_generators_generate_the_set(monkeypatch, rep, n, d, central):
     ideal = Ideal.of(ring, [d])
     build = enumerate_full_congruence if central else enumerate_congruence_subgroup
     listed = build(rep, ring, ideal)
-    size, gens = subgroups._certified_generators(rep, ring, ideal, 10**6, central)
+    size = subgroups._congruence_order(rep, n, d, central)
+    gens = subgroups._certify_generators(rep, n, d, central, subgroups._congruence_generators(rep, n, d, central))
     assert listed.cardinality == size
     weights = n ** np.arange(gens.shape[1] ** 2, dtype=np.int64)
     codes = (listed.stack.reshape(size, -1) @ weights).tolist()
@@ -497,13 +498,9 @@ def test_kernel_from_cached_full_congruence_matches_lifting(monkeypatch, rep, n,
         return stack[np.all((stack - ident) % d == 0, axis=(1, 2))]
 
     assert _code_set(kernel.stack, n) == _code_set(at_one(cfull.stack), n)
-    scalars = math.prod(
-        len(subgroups._central_scalars(rep, math.gcd(d, p**k)))
-        for p, k in subgroups._prime_powers(n)
-        if d % p == 0
-    )
+    scalars = math.prod(len(subgroups._central_scalars(rep, p, a)) for p, _, a in subgroups._filtration(n, d) if a)
     assert kernel.cardinality == cfull.cardinality // scalars
-    g_gens = subgroups._certified_generators(rep, ring, ideal, 10**6, False)[1]
+    g_gens = subgroups._certify_generators(rep, n, d, False, subgroups._congruence_generators(rep, n, d, False))
     c_gens = full_congruence_generators(rep, ring, ideal)[1]
     assert np.array_equal(at_one(c_gens), g_gens)
 
@@ -722,9 +719,15 @@ def test_generators_only_bfs_matches_closure_with_inverses(rep, n, d, seed):
 
 @pytest.mark.parametrize("rep", [A2, C2], ids=["A2", "C2"])
 def test_centre_order_closed_form_matches_scalar_sweep(rep):
-    for p, top in [(2, 7), (3, 5), (5, 3), (7, 2), (13, 1)]:
-        for a in range(1, top + 1):
-            assert subgroups._centre_order(rep, p, a) == len(subgroups._central_scalars(rep, p**a))
+    # the constructed centre of G(Z/p^a) and its closed-form order against
+    # a sweep of all p^a scalars
+    levels = [(2, a) for a in range(1, 10)] + [(3, a) for a in range(1, 8)]
+    levels += [(5, a) for a in range(1, 5)] + [(7, a) for a in range(1, 4)]
+    levels += [(13, 1), (13, 2), (19, 1), (19, 2), (31, 1), (31, 2), (37, 1), (1000003, 1)]
+    for p, a in levels:
+        swept = sweep_central_scalars(rep, p**a)
+        assert np.array_equal(subgroups._central_scalars(rep, p, a), swept)
+        assert subgroups._centre_order(rep, p, a) == len(swept)
 
 
 @pytest.mark.parametrize("rep,p,order", [(A2, 2, 168), (A2, 3, 5616), (C2, 2, 720)])
@@ -848,24 +851,42 @@ def test_t1_side_data_gated_on_the_closed_form():
     assert report.notes == []
 
 
-def test_central_scalars_swept_once_per_level(monkeypatch):
-    # the certified generators of C(R, J) are cached; each call still checks
-    # the closed form against its bound
+def test_full_congruence_listed_at_a_large_prime_level(monkeypatch):
+    # C(Z/2000006, (1000003)) is Sp4(F_2) x {+-1}: its centre at 1000003 is
+    # constructed, so only the 1,440 elements count against the bound
     monkeypatch.setattr(subgroups, "_CONGRUENCE_CACHE", {})
-    sweeps = []
-    sweep = subgroups._central_scalars
-    monkeypatch.setattr(subgroups, "_central_scalars", lambda *args: sweeps.append(args[1]) or sweep(*args))
     ring = Ring.mod(2000006)
     ideal = Ideal.of(ring, [1000003])
     for stmt in ("T2", "T3"):
         report = verify_theorem(stmt, "C2", ring, ideal, ideal)
         assert report.error is None and report.verdict is True
-    # C(R, J) is Sp4(F_2) x {+-1}; listed and cached, it is refused as before
-    assert enumerate_full_congruence(C2, ring, ideal, bound=2 * 10**6).cardinality == 1440
-    assert sweeps == [1000003]
-    for build in (full_congruence_generators, enumerate_full_congruence):
-        with pytest.raises(BoundExceeded, match="needs 1000003 candidates"):
-            build(C2, ring, ideal, bound=10**6)
+    assert full_congruence_generators(C2, ring, ideal)[0] == 1440
+    listed = enumerate_full_congruence(C2, ring, ideal, bound=10**6)
+    assert listed.cardinality == 1440
+    with pytest.raises(BoundExceeded, match=r"congruence subgroup has 1440 elements \(> 1439\)"):
+        enumerate_full_congruence(C2, ring, ideal, bound=1439)
+
+
+@pytest.mark.parametrize(
+    "stmt,n,d,cards,seconds",
+    [
+        ("T2", 200000014, 100000007, {"[E(I),E(J)]": 360, "C(R,J)": 1440, "[E(I),C(R,J)]": 360}, 1),
+        ("T3", 200000014, 100000007, {"E(I)": 720, "C(R,I)": 1440}, 1),
+        ("T2", 27, 3, {"[E(I),E(J)]": 59049, "C(R,J)": 6973568802, "[E(I),C(R,J)]": 59049}, 20),
+    ],
+    ids=["T2-Z200000014", "T3-Z200000014", "T2-Z27"],
+)
+def test_statements_past_the_scalar_sweep(stmt, n, d, cards, seconds):
+    # refused while the p^a central scalars were swept under a second bound
+    # of 10^8: at Z/200000014 for the 100000007 candidates, at Z/27 for
+    # |C(R,J)|; C(R,J) is not listed
+    ring = Ring.mod(n)
+    ideal = Ideal.of(ring, [d])
+    start = time.perf_counter()
+    report = verify_theorem(stmt, "C2", ring, ideal, ideal)
+    assert time.perf_counter() - start < seconds
+    assert report.error is None and report.verdict is True
+    assert report.cardinalities == cards
 
 
 def test_benchmark_tracer_finds_the_names_it_wraps():
