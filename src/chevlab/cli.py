@@ -32,8 +32,19 @@ from .words import certificate_to_json, evaluate, word_to_sexpr
 
 SYSTEMS = ("A2", "C2", "G2")
 STATEMENTS = ("T1", "T2", "T3", "O1", "O2")
-# the task parameters the command line forwards; a campaign may also set seed
-PARAMS = ("type", "case", "ring", "ideal", "ideal_i", "ideal_j", "stmt", "samples", "bound")
+# the task parameters each command reads; a campaign may also set seed
+PARAMS = {
+    "verify-steinberg": ("type",),
+    "verify-chevalley": ("type",),
+    "verify-main-lemma": ("case", "ring", "ideal", "ideal_i", "ideal_j"),
+    "verify-long-root": ("type", "ring", "ideal"),
+    "verify-levi": ("type", "ring", "ideal_i", "ideal_j", "samples"),
+    "bruteforce": ("stmt", "type", "ring", "ideal_i", "ideal_j", "bound"),
+    "dump-constants": ("type",),
+    "dump-generators": ("type", "ring"),
+    "factorize-main-lemma": ("case",),
+    "factorize-long-root": ("type", "ring", "ideal"),
+}
 
 
 class TaskError(Exception):
@@ -344,7 +355,7 @@ def validate_task(command: str, params: dict) -> None:
     """Cheap validation of a task before anything runs."""
     if command not in TASKS:
         raise TaskError(f"unknown command {command!r}")
-    unknown = sorted(set(params) - {*PARAMS, "seed"})
+    unknown = sorted(set(params) - {*PARAMS[command], "seed"})
     if unknown:
         raise TaskError(f"{command} takes no parameter {', '.join(map(repr, unknown))}")
     if "samples" in params:
@@ -516,7 +527,7 @@ def _args_to_task(args: argparse.Namespace) -> dict:
     if command in ("verify", "factorize"):
         command = f"{command}-{args.what}"
     params = {}
-    for key in PARAMS:
+    for key in sorted(set().union(*PARAMS.values())):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val

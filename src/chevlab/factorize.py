@@ -66,10 +66,6 @@ class ResidueFieldF2(FactorizationError):
     pass
 
 
-class UnitDecompositionFailed(FactorizationError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # parabolic frames
 
@@ -358,7 +354,9 @@ def main_lemma_word(
 
 
 def unit_decompose(ring: Ring) -> list[tuple[RingElement, RingElement]]:
-    """Pairs (theta, r) with sum r*(theta^2 - theta) = 1, minimal count."""
+    """Pairs (theta, r) with sum r*(theta^2 - theta) = 1, minimal count: one
+    pair, since n is odd once F2 residue fields are refused, and then theta = 2
+    has theta^2 - theta = 2, a unit with inverse (n + 1) / 2."""
     if ring.kind != "Zn":
         raise InfiniteRing(f"unit decomposition needs a finite ring, got {ring}")
     n = ring.modulus
@@ -367,29 +365,7 @@ def unit_decompose(ring: Ring) -> list[tuple[RingElement, RingElement]]:
             f"{ring} has a residue field of two elements; theta^2 - theta "
             "never generates the unit ideal"
         )
-    import math
-
-    for t in range(n):
-        d = (t * t - t) % n
-        if d and math.gcd(d, n) == 1:
-            return [(ring.element(t), ring.element(pow(d, -1, n)))]
-    for t1 in range(n):
-        for t2 in range(t1 + 1, n):
-            d1 = (t1 * t1 - t1) % n
-            d2 = (t2 * t2 - t2) % n
-            g = math.gcd(math.gcd(d1, d2), n)
-            if g != 1:
-                continue
-            for r1 in range(n):
-                rem = (1 - r1 * d1) % n
-                if d2 and rem % math.gcd(d2, n) == 0:
-                    for r2 in range(n):
-                        if (r1 * d1 + r2 * d2) % n == 1:
-                            return [
-                                (ring.element(t1), ring.element(r1)),
-                                (ring.element(t2), ring.element(r2)),
-                            ]
-    raise UnitDecompositionFailed(f"no decomposition of 1 over {ring}")
+    return [(ring.element(2), ring.element((n + 1) // 2))]
 
 
 def _commutator_with_conjugate(delta: Root, t: RingElement, gamma: Root, s: RingElement) -> Word:

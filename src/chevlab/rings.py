@@ -1,15 +1,19 @@
 """Exact arithmetic for Z, Z/n and polynomial rings over them.
 
-Elements are immutable.  Residues live in [0, n).  A polynomial is a map
-from packed monomial to nonzero coefficient, with coefficients reduced into
-[0, n) over Z/n.  A packed monomial is one int holding the exponent of
-variable i in the field of ``FIELD_BITS`` bits that starts at bit
-``FIELD_BITS * i``; the top bit of each field is a guard bit, so an exponent
-is at most ``MAX_EXPONENT``.  Multiplying two monomials is one integer
-addition.  Each field of such a sum stays below 2^FIELD_BITS, so an exponent
-that outgrows its field sets that field's guard bit without carrying into
-the next one, and the product is refused with :class:`DegreeOverflow`
-instead of wrapping.  The layout is that of Monagan & Pearce, "Polynomial
+Every ring has one coefficient modulus ``_cmod``: 0 for Z, n for Z/n, and
+its base's for a polynomial ring.  It alone decides reduction: arithmetic
+on integers and coefficients is one path, which reduces into [0, n) when
+the modulus n is nonzero and leaves the integer as it is when it is 0.
+
+Elements are immutable.  A scalar is one integer; a polynomial is a map
+from packed monomial to nonzero coefficient.  A packed monomial is one int
+holding the exponent of variable i in the field of ``FIELD_BITS`` bits that
+starts at bit ``FIELD_BITS * i``; the top bit of each field is a guard bit,
+so an exponent is at most ``MAX_EXPONENT``.  Multiplying two monomials is
+one integer addition.  Each field of such a sum stays below 2^FIELD_BITS, so
+an exponent that outgrows its field sets that field's guard bit without
+carrying into the next one, and the product is refused with
+:class:`DegreeOverflow` instead of wrapping.  The layout is that of Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors" (CASC
 2007); no other module knows it.
 
@@ -23,15 +27,14 @@ therefore still hashes and prints deterministically.
 Ideals are finitely generated and kept in a normal form for which
 membership is decidable by inspection:
 
-* in Z, a single non-negative generator (gcd of the inputs);
-* in Z/n, a single generator d dividing n;
+* in Z and Z/n, a single generator: the gcd of the inputs and the
+  coefficient modulus (non-negative in Z, a divisor of n in Z/n);
 * in a polynomial ring, a list of *terms* c*x^e (this covers variables,
   base-ring constants, and products of such, which is everything the
   symbolic verification needs).
 """
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -84,14 +87,18 @@ class Ring:
     variables: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        # the coefficient modulus of the module docstring; a plain attribute,
+        # not a field, like the packed layout below
         if self.kind == "Z":
             if self.modulus is not None or self.base is not None or self.variables:
                 raise ValueError("malformed integer ring")
+            object.__setattr__(self, "_cmod", 0)
         elif self.kind == "Zn":
             if not isinstance(self.modulus, int) or self.modulus < 2:
                 raise ValueError("modulus must be an integer >= 2")
             if self.base is not None or self.variables:
                 raise ValueError("malformed modular ring")
+            object.__setattr__(self, "_cmod", self.modulus)
         elif self.kind == "poly":
             if self.base is None or self.base.kind not in ("Z", "Zn"):
                 raise ValueError("polynomial base must be Z or Z/n")
@@ -102,12 +109,12 @@ class Ring:
             for name in self.variables:
                 if not _NAME_RE.match(name):
                     raise ValueError(f"bad variable name {name!r}")
+            object.__setattr__(self, "_cmod", self.base._cmod)
             # the packed layout; plain attributes, not fields, so equality,
             # hashing and repr of rings ignore them
             shifts = tuple(FIELD_BITS * i for i in range(len(self.variables)))
             object.__setattr__(self, "_shifts", shifts)
             object.__setattr__(self, "_guards", sum(1 << (s + FIELD_BITS - 1) for s in shifts))
-            object.__setattr__(self, "_cmod", self.base.modulus or 0)
         else:
             raise ValueError(f"unknown ring kind {self.kind!r}")
 
@@ -137,11 +144,10 @@ class Ring:
 
     def element(self, value: int) -> "RingElement":
         """Canonical element from an integer (constant for poly rings)."""
-        if self.kind == "Z":
-            return RingElement(self, int(value))
-        if self.kind == "Zn":
-            return RingElement(self, int(value) % self.modulus)
-        return self._poly({0: int(value)})
+        if self.kind == "poly":
+            return self._poly({0: int(value)})
+        n = self._cmod
+        return RingElement(self, int(value) % n if n else int(value))
 
     def var(self, name: str) -> "RingElement":
         if self.kind != "poly":
@@ -166,10 +172,9 @@ class Ring:
     def sum_of_products(self, pairs) -> "RingElement":
         """sum(a * b for a, b in pairs) over elements of this ring: every
         product goes into one accumulator, and one element is built."""
-        if self.kind == "Z":
-            return RingElement(self, sum(a.payload * b.payload for a, b in pairs))
-        if self.kind == "Zn":
-            return RingElement(self, sum(a.payload * b.payload for a, b in pairs) % self.modulus)
+        if self.kind != "poly":
+            s, n = sum(a.payload * b.payload for a, b in pairs), self._cmod
+            return RingElement(self, s % n if n else s)
         acc: dict[int, int] = {}
         get = acc.get
         for a, b in pairs:
@@ -290,24 +295,22 @@ class RingElement:
         if other is NotImplemented:
             return NotImplemented
         r = self.ring
-        if r.kind == "Z":
-            return RingElement(r, self.payload + other.payload)
-        if r.kind == "Zn":
-            return RingElement(r, (self.payload + other.payload) % r.modulus)
-        d = dict(self.payload)
-        for m, c in other.payload.items():
-            d[m] = d.get(m, 0) + c
-        return r._poly(d)
+        if r.kind == "poly":
+            d = dict(self.payload)
+            for m, c in other.payload.items():
+                d[m] = d.get(m, 0) + c
+            return r._poly(d)
+        s, n = self.payload + other.payload, r._cmod
+        return RingElement(r, s % n if n else s)
 
     __radd__ = __add__
 
     def __neg__(self):
         r = self.ring
-        if r.kind == "Z":
-            return RingElement(r, -self.payload)
-        if r.kind == "Zn":
-            return RingElement(r, (-self.payload) % r.modulus)
-        return r._poly({m: -c for m, c in self.payload.items()})
+        if r.kind == "poly":
+            return r._poly({m: -c for m, c in self.payload.items()})
+        n = r._cmod
+        return RingElement(r, -self.payload % n if n else -self.payload)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -323,11 +326,10 @@ class RingElement:
         if other is NotImplemented:
             return NotImplemented
         r = self.ring
-        if r.kind == "Z":
-            return RingElement(r, self.payload * other.payload)
-        if r.kind == "Zn":
-            return RingElement(r, (self.payload * other.payload) % r.modulus)
-        return r.sum_of_products(((self, other),))
+        if r.kind == "poly":
+            return r.sum_of_products(((self, other),))
+        s, n = self.payload * other.payload, r._cmod
+        return RingElement(r, s % n if n else s)
 
     __rmul__ = __mul__
 
@@ -344,32 +346,14 @@ class RingElement:
         r = self.ring
         if k in (1, -1):
             return self if k == 1 else -self
-        if r.kind == "Z":
-            if self.payload % k:
-                return None
-            return RingElement(r, self.payload // k)
-        if r.kind == "Zn":
-            g = math.gcd(k, r.modulus)
-            if g == 1:
-                return RingElement(r, (self.payload * pow(k, -1, r.modulus)) % r.modulus)
-            if self.payload % g:
-                return None
-            # solve k*t = payload mod n on the divisible part
-            n = r.modulus
-            t = (self.payload // g) * pow(k // g, -1, n // g) % (n // g)
-            return RingElement(r, t % n)
-        base_mod = r._cmod
+        if r.kind != "poly":
+            t = _divide_coefficient(self.payload, k, r._cmod)
+            return None if t is None else RingElement(r, t)
         d = {}
         for m, c in self.payload.items():
-            if not base_mod:
-                if c % k:
-                    return None
-                d[m] = c // k
-            else:
-                g = math.gcd(k, base_mod)
-                if c % g:
-                    return None
-                d[m] = (c // g) * pow(k // g, -1, base_mod // g) % (base_mod // g)
+            if (t := _divide_coefficient(c, k, r._cmod)) is None:
+                return None
+            d[m] = t
         return r._poly(d)
 
     # -- display -------------------------------------------------------------
@@ -379,6 +363,17 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"<{self.ring}: {element_to_string(self)}>"
+
+
+def _divide_coefficient(c: int, k: int, n: int) -> int | None:
+    """A t with k*t = c mod n, or None: c // k over Z (n = 0), and over Z/n
+    the solution in [0, n/g), g = gcd(k, n), which is the least in [0, n)."""
+    if not n:
+        return None if c % k else c // k
+    g = math.gcd(k, n)
+    if c % g:
+        return None
+    return (c // g) * pow(k // g, -1, n // g) % (n // g)
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +394,8 @@ class Ideal:
         for e in elems:
             if e.ring != ring:
                 raise MixedRings(f"{e.ring} vs {ring}")
-        if ring.kind == "Z":
-            g = 0
-            for e in elems:
-                g = math.gcd(g, e.payload)
-            return Ideal(ring, (g,))
-        if ring.kind == "Zn":
-            n = ring.modulus
-            g = n
-            for e in elems:
-                g = math.gcd(g, e.payload)
-            return Ideal(ring, (g,))
+        if ring.kind != "poly":
+            return Ideal(ring, (math.gcd(ring._cmod, *(e.payload for e in elems)),))
         terms = []
         for e in elems:
             if e.is_zero:
@@ -427,22 +413,15 @@ class Ideal:
     def contains(self, x: RingElement) -> bool:
         if x.ring != self.ring:
             raise MixedRings(f"{x.ring} vs {self.ring}")
-        r = self.ring
-        if r.kind == "Z":
+        if self.ring.kind != "poly":
             (g,) = self.gens
-            return x.payload == 0 if g == 0 else x.payload % g == 0
-        if r.kind == "Zn":
-            (d,) = self.gens
-            return x.payload % d == 0 if d else x.payload == 0
-        if x.is_zero:
-            return True
-        base_mod = r.base.modulus if r.base.kind == "Zn" else 0
+            return x.payload % g == 0 if g else x.payload == 0
         for exp, c in x.terms:
             g = 0
             for gexp, gc in self.gens:
                 if all(a >= b for a, b in zip(exp, gexp)):
                     g = math.gcd(g, gc)
-            g = math.gcd(g, base_mod)
+            g = math.gcd(g, self.ring._cmod)
             if g == 0 or c % g:
                 return False
         return True
@@ -468,15 +447,14 @@ class Ideal:
     @property
     def is_zero(self) -> bool:
         r = self.ring
-        if r.kind == "Z":
-            return self.gens == (0,)
-        if r.kind == "Zn":
-            return self.gens[0] % r.modulus == 0
-        return not self.gens
+        if r.kind == "poly":
+            return not self.gens
+        g, n = self.gens[0], r._cmod
+        return (g % n if n else g) == 0
 
     def generator_elements(self) -> list[RingElement]:
         r = self.ring
-        if r.kind in ("Z", "Zn"):
+        if r.kind != "poly":
             return [r.element(self.gens[0])]
         return [r.term(c, exp) for exp, c in self.gens]
 
@@ -497,14 +475,13 @@ class Ideal:
 
 def _normalize_terms(ring: Ring, terms: list) -> tuple:
     """Canonical generator list for a term ideal in a polynomial ring."""
-    base_mod = ring.base.modulus if ring.base.kind == "Zn" else 0
+    n = ring._cmod
     by_exp: dict = {}
     for exp, c in terms:
-        c = abs(c) if base_mod == 0 else c % base_mod
-        if base_mod and c == 0:
-            continue
-        by_exp[exp] = math.gcd(by_exp.get(exp, 0), c)
-    items = [(exp, c) for exp, c in by_exp.items() if c]
+        c = c % n if n else abs(c)
+        if c:
+            by_exp[exp] = math.gcd(by_exp.get(exp, 0), c)
+    items = list(by_exp.items())
     # drop a term when the others already generate it
     changed = True
     while changed:
@@ -514,7 +491,7 @@ def _normalize_terms(ring: Ring, terms: list) -> tuple:
             for j, (oexp, oc) in enumerate(items):
                 if j != i and all(a >= b for a, b in zip(exp, oexp)):
                     g = math.gcd(g, oc)
-            g = math.gcd(g, base_mod)
+            g = math.gcd(g, n)
             if g and c % g == 0:
                 items.pop(i)
                 changed = True
@@ -528,12 +505,9 @@ def _normalize_terms(ring: Ring, terms: list) -> tuple:
 
 
 def has_residue_field_f2(ring: Ring) -> bool:
-    """Whether some maximal ideal of the ring has a 2-element residue field."""
-    if ring.kind == "Z":
-        return True
-    if ring.kind == "Zn":
-        return ring.modulus % 2 == 0
-    return has_residue_field_f2(ring.base)
+    """Whether some maximal ideal of the ring has a 2-element residue field:
+    whether 2 divides the coefficient modulus (0 for Z and Z[...])."""
+    return ring._cmod % 2 == 0
 
 
 def theta_condition_holds(ring: Ring) -> bool:
@@ -565,17 +539,9 @@ def ring_quotient(ring: Ring, ideal: Ideal):
     """
     if ideal.ring != ring:
         raise MixedRings(f"{ideal.ring} vs {ring}")
-    if ring.kind == "Z":
-        (g,) = ideal.gens
-        if g == 0:
-            return ring, lambda e: e
-        if g == 1:
-            raise UnrepresentableQuotient("quotient by the unit ideal")
-        quot = Ring.mod(g)
-        return quot, lambda e: quot.element(e.payload)
-    if ring.kind == "Zn":
+    if ring.kind != "poly":
         (d,) = ideal.gens
-        if d % ring.modulus == 0:
+        if ideal.is_zero:
             return ring, lambda e: e
         if d == 1:
             raise UnrepresentableQuotient("quotient by the unit ideal")
@@ -588,7 +554,7 @@ def ring_quotient(ring: Ring, ideal: Ideal):
     for exp, c in ideal.gens:
         if sum(exp) == 0:
             const.append(c)
-        elif sum(exp) == 1 and (abs(c) == 1 or (ring.base.kind == "Zn" and math.gcd(c, ring.base.modulus) == 1)):
+        elif sum(exp) == 1 and math.gcd(c, ring._cmod) == 1:
             killed.append(exp.index(1))
         else:
             raise UnrepresentableQuotient(f"cannot quotient {ring} by {ideal}")
@@ -646,7 +612,7 @@ def parse_ring(spec: str) -> Ring:
 def element_to_string(e: RingElement) -> str:
     """Canonical, re-parseable text form of an element."""
     r = e.ring
-    if r.kind in ("Z", "Zn"):
+    if r.kind != "poly":
         return str(e.payload)
     if e.is_zero:
         return "0"

@@ -548,11 +548,7 @@ def _congruence(
     except EnumerationError as exc:
         raise EnumerationError(f"{where}: {exc}") from None
     # for the level, one element of each class mod d
-    classes = sub.stack[_first_rows(sub.stack % d, d)]
-    scalars = (classes[:, :1, :1] if central else 1) * np.eye(rep.block_dims[0], dtype=np.int64)
-    if np.any(classes % d != scalars % d):
-        kind = "scalar" if central else "1"
-        raise EnumerationError(f"{where}: level check failed (an element is not {kind} mod {d})")
+    _check_level(where, "an element", sub.stack[_first_rows(sub.stack % d, d)], d, central)
     if sub.cardinality != size:
         raise EnumerationError(f"{where}: count check failed ({sub.cardinality}, not {size})")
     _CONGRUENCE_CACHE[cache_key] = sub
@@ -646,6 +642,15 @@ def _congruence_generators(
     return blocks
 
 
+def _check_level(where: str, what: str, mats: np.ndarray, d: int, central: bool) -> None:
+    """EnumerationError unless every matrix is 1 mod d, or a scalar mod d
+    when central."""
+    scalars = (mats[:, :1, :1] if central else 1) * np.eye(mats.shape[-1], dtype=np.int64)
+    if np.any(mats % d != scalars % d):
+        kind = "scalar" if central else "1"
+        raise EnumerationError(f"{where}: level check failed ({what} is not {kind} mod {d})")
+
+
 def _certify_generators(rep: Representation, n: int, d: int, central: bool, blocks) -> np.ndarray:
     """The matrices of the blocks in order, identities dropped, once they
     pass the generator checks of the module docstring; EnumerationError
@@ -661,10 +666,7 @@ def _certify_generators(rep: Representation, n: int, d: int, central: bool, bloc
     gens = np.concatenate([ident[None][:0]] + [g for _, _, g in blocks])
     if not _group_equation_mask(rep, gens, n).all():
         raise EnumerationError(f"{where}: group equations check failed (a generator is not in {rep.name})")
-    scalars = (gens[:, :1, :1] if central else 1) * ident
-    if np.any(gens % d != scalars % d):
-        kind = "scalar" if central else "1"
-        raise EnumerationError(f"{where}: level check failed (a generator is not {kind} mod {d})")
+    _check_level(where, "a generator", gens, d, central)
     for p, k, a in _filtration(n, d):
         rest = n // p**k
         for m in range(max(a, 1), k):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -113,6 +114,26 @@ def test_reports_byte_identical_for_fixed_seed(tmp_path):
     assert "threads" not in report
 
 
+# A fixed, fast campaign over the finite and symbolic paths.  Its default
+# report is pinned: a change that alters it on purpose updates the digest
+# and names the change.
+PINNED_TASKS = [
+    {"command": "verify-main-lemma", "params": {"case": "A2", "ring": "Z/8", "ideal_i": "2", "ideal_j": "4"}},
+    {"command": "verify-long-root", "params": {"type": "C2", "ring": "Z/27", "ideal": "3"}},
+    {"command": "bruteforce", "params": {"stmt": "O1", "type": "A2", "ring": "Z/8", "ideal_i": "2", "ideal_j": "2"}},
+    {"command": "verify-long-root", "params": {"type": "C2"}},
+    {"command": "verify-chevalley", "params": {"type": "A2"}},
+]
+PINNED_SHA256 = "afb035ab1784357f245c49c47feed422d95f8998655b958ba2cfa6f078bd832e"
+
+
+def test_default_report_pinned():
+    report = run_campaign(PINNED_TASKS, seed=1, with_timings=False)
+    assert [entry["status"] for entry in report["tasks"]] == ["ok"] * len(PINNED_TASKS)
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
+
+
 def test_bound_exceeded_is_an_error_result():
     from chevlab import cli
 
@@ -135,6 +156,10 @@ def test_bound_exceeded_is_an_error_result():
         # the hyphenated keys were ignored, and (1),(1) checked under (2),(4)
         ("verify-main-lemma", {"case": "A2", "ring": "Z/8", "ideal-i": "2", "ideal-j": "4"}, "'ideal-i', 'ideal-j'"),
         ("bruteforce", {"stmt": "T2", "type": "C2", "ring": "Z/9", "ideal_i": "3", "candidate_bound": 5}, "'candidate_bound'"),
+        # keys another command reads: the Levi task reads no bound or statement
+        ("verify-levi", {"type": "A2", "ring": "Z/8", "ideal_i": "2", "ideal_j": "2", "samples": 5, "bound": 3, "stmt": "T2"}, "'bound', 'stmt'"),
+        # the report echoed a ring the Steinberg check never used
+        ("verify-steinberg", {"type": "A2", "ring": "Z/8", "ideal": "2"}, "'ideal', 'ring'"),
     ],
 )
 def test_unread_params_refused(command, params, key):

@@ -78,6 +78,13 @@ def test_unit_decompose_examples():
         unit_decompose(Ring.mod(4))
 
 
+def test_unit_decompose_closed_form_over_odd_moduli():
+    for n in range(3, 2000, 2):
+        ring = Ring.mod(n)
+        ((theta, r),) = unit_decompose(ring)
+        assert r * (theta * theta - theta) == ring.one
+
+
 def test_long_root_c2_symbolic():
     ring = Ring.polynomial(Ring.integers(), ("xi",))
     (xi,) = ring.vars()

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,6 +99,63 @@ def test_poly_ideal_membership_soundness_on_random_combinations():
         assert ideal.contains(combo)
 
 
+def test_scalar_ideals_over_z_and_zn():
+    Z = Ring.integers()
+    # the generator is the gcd of the inputs and the coefficient modulus
+    assert Ideal.of(Z, [6, -4]).gens == (2,)
+    assert Ideal.of(Z, []).gens == (0,)
+    assert Ideal.of(Z8, [6, 12]).gens == (2,)
+    assert Ideal.of(Z8, []).gens == (8,)
+    assert Ideal.of(Z27, [18]).gens == (9,)
+    even = Ideal.of(Z, [6, -4])
+    for x in range(-20, 21):
+        assert even.contains(Z.element(x)) == (x % 2 == 0)
+    assert not Ideal.of(Z, [0]).contains(Z.one)
+    for ring in (Z, Z8):
+        assert Ideal.of(ring, [0]).is_zero and not Ideal.of(ring, [2]).is_zero
+        assert Ideal.of(ring, [0]).contains(ring.zero)
+        # built by hand, outside the normal form
+        hand = Ideal(ring, (0,))
+        assert hand.is_zero
+        assert hand.contains(ring.zero) and not hand.contains(ring.element(2))
+        assert ring_quotient(ring, hand)[0] == ring
+    assert Ideal(Z8, (16,)).is_zero and not Ideal(Z8, (3,)).is_zero
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(2, 10**4), st.integers(2**64, 2**70)),
+    st.integers(-(10**6), 10**6).filter(bool),
+    st.integers(0, 2**72),
+)
+def test_scalar_divide_int_over_zn(n, k, c):
+    ring = Ring.mod(n)
+    got = ring.element(c).divide_int(k)
+    c %= n
+    if n <= 10**4:
+        # the least t in [0, n) with k t = c mod n
+        want = next((t for t in range(n) if (k * t - c) % n == 0), None)
+        assert (got.payload if got is not None else None) == want
+    elif got is None:
+        assert c % math.gcd(k, n)
+    else:
+        # a solution below n/g is the least: the solutions are n/g apart
+        assert (k * got.payload - c) % n == 0
+        assert 0 <= got.payload < n // math.gcd(k, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(2**70), 2**70), st.integers(-(2**66), 2**66).filter(bool))
+def test_scalar_divide_int_over_z(c, k):
+    Z = Ring.integers()
+    got = Z.element(c).divide_int(k)
+    if c % k:
+        assert got is None
+    else:
+        assert got.payload * k == c
+    assert Z.element(c * k).divide_int(k) == Z.element(c)
+
+
 def test_ideal_shape_restriction():
     xi, zeta, _ = PZ.vars()
     with pytest.raises(UnsupportedIdealShape):
@@ -130,6 +188,7 @@ def test_residue_field_f2():
         assert has_residue_field_f2(Ring.mod(n)) == (n % 2 == 0)
     assert has_residue_field_f2(Ring.polynomial(Z8, ("t",)))
     assert not has_residue_field_f2(Ring.polynomial(Z9, ("t",)))
+    assert has_residue_field_f2(Ring.polynomial(Ring.integers(), ("t",)))
 
 
 def _theta_oracle(n: int) -> bool:
