@@ -198,16 +198,17 @@ class CertifiedFactorization:
     alpha: Root
 
     def verify(self, rep: Representation, ring: Ring, ideal_i: Ideal, ideal_j: Ideal) -> bool:
-        lhs = evaluate(self.target, rep, ring)
-        rhs = rep.identity(ring)
-        for word, _ in self.factors:
-            rhs = rhs * evaluate(word, rep, ring)
-        if lhs != rhs:
+        """The target equals the product of the factors, and each factor's
+        certificate holds.  The evaluations share one memo, dropped on
+        return."""
+        memo: dict = {}
+        product = Word(tuple(sym for word, _ in self.factors for sym in word.letters))
+        if evaluate(self.target, rep, ring, memo=memo) != evaluate(product, rep, ring, memo=memo):
             return False
-        for word, cert in self.factors:
-            if not validate_certificate(cert, word, ideal_i, ideal_j, rep, ring):
-                return False
-        return True
+        return all(
+            validate_certificate(cert, word, ideal_i, ideal_j, rep, ring, memo=memo)
+            for word, cert in self.factors
+        )
 
 
 def main_lemma_word(

@@ -415,6 +415,7 @@ class Ideal:
             raise MixedRings(f"{x.ring} vs {self.ring}")
         if self.ring.kind != "poly":
             (g,) = self.gens
+            g = math.gcd(g, self.ring._cmod)
             return x.payload % g == 0 if g else x.payload == 0
         for exp, c in x.terms:
             g = 0

@@ -2,11 +2,16 @@
 certificates.
 
 Words store symbols, never matrices, so one factorization can be evaluated
-over many coefficient rings.  Certificates are small proof trees whose
-leaves are checkable by ideal membership and congruence tests; the
-composite tags lean on the licensing facts that level-IJ elementary
-subgroups sit inside the mixed commutator subgroup and that the latter is
-normalized by every elementary element.
+over many coefficient rings.  A word evaluates as one flat product of its
+elementary letters, with z symbols and conjugates expanded in place.  The
+evaluations of one verification may share a memo keyed by word; it lives
+only as long as that verification.
+
+Certificates are small proof trees whose leaves are checkable by ideal
+membership and congruence tests; the composite tags lean on the licensing
+facts that level-IJ elementary subgroups sit inside the mixed commutator
+subgroup and that the latter is normalized by every elementary element.
+A level leaf must therefore name an ideal inside IJ.
 """
 from __future__ import annotations
 
@@ -174,28 +179,48 @@ def _walk_x(sym, include_conjugators):
 # evaluation
 
 
-def evaluate(word: Word, rep: Representation, ring: Ring) -> GroupElement:
-    """Left-to-right matrix product of the word in the representation."""
-    out = rep.identity(ring)
-    for sym in word.letters:
-        out = out * _symbol_matrix(sym, rep, ring)
+def evaluate(
+    word: Word, rep: Representation, ring: Ring, *, memo: dict | None = None
+) -> GroupElement:
+    """Left-to-right product of the word's elementary letters.
+
+    Z symbols and conjugates are expanded in place (see ``_elementary``),
+    so the running product, which starts from the first letter, is only
+    ever multiplied by one elementary matrix at a time.  ``memo`` maps
+    words to their values; one verification passes one dict to all of its
+    evaluations and drops it when it returns.
+    """
+    if memo is not None and word in memo:
+        return memo[word]
+    out = None
+    for sym in _elementary(word.letters, ring):
+        g = rep.x(sym.root, sym.coeff)
+        out = g if out is None else out * g
+    if out is None:
+        out = rep.identity(ring)
+    if memo is not None:
+        memo[word] = out
     return out
 
 
-def _symbol_matrix(sym, rep: Representation, ring: Ring) -> GroupElement:
-    if isinstance(sym, XSym):
-        if sym.coeff.ring != ring:
-            raise MixedRings(f"{sym.coeff.ring} vs {ring}")
-        return rep.x(sym.root, sym.coeff)
-    if isinstance(sym, ZSym):
-        if sym.xi.ring != ring or sym.eta.ring != ring:
-            raise MixedRings("z-symbol coefficients outside the ring")
-        return rep.z(sym.root, sym.xi, sym.eta)
-    if isinstance(sym, ConjSym):
-        by = evaluate(sym.by, rep, ring)
-        by_inv = evaluate(sym.by.inverse(), rep, ring)
-        return by * evaluate(sym.base, rep, ring) * by_inv
-    raise WordError(f"unknown symbol {sym!r}")
+def _elementary(letters, ring: Ring):
+    """The X symbols of the letters in product order: a z symbol as its
+    three x letters (see ``_walk_x``), a conjugate as by, base, by^-1."""
+    for sym in letters:
+        if isinstance(sym, XSym):
+            if sym.coeff.ring != ring:
+                raise MixedRings(f"{sym.coeff.ring} vs {ring}")
+            yield sym
+        elif isinstance(sym, ZSym):
+            if sym.xi.ring != ring or sym.eta.ring != ring:
+                raise MixedRings("z-symbol coefficients outside the ring")
+            yield from (xsym for xsym, _ in _walk_x(sym, False))
+        elif isinstance(sym, ConjSym):
+            yield from _elementary(sym.by.letters, ring)
+            yield from _elementary(sym.base.letters, ring)
+            yield from _elementary(sym.by.inverse().letters, ring)
+        else:
+            raise WordError(f"unknown symbol {sym!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +266,21 @@ def validate_certificate(
     ideal_j: Ideal,
     rep: Representation,
     ring: Ring,
+    *,
+    memo: dict | None = None,
 ) -> bool:
-    """Check a certificate's leaves and shape against its word."""
+    """Check a certificate's leaves and shape against its word.  ``memo``
+    is passed on to every evaluation (see ``evaluate``)."""
     if isinstance(cert, LevelElement):
+        if not ideal_i.product(ideal_j).contains_ideal(cert.ideal):
+            return False
         for sym in word.letters:
             if not isinstance(sym, XSym):
                 return False
         for xsym, _ in word.walk_x_letters(include_conjugators=False):
             if not cert.ideal.contains(xsym.coeff):
                 return False
-        return congruence_level_test(evaluate(word, rep, ring), cert.ideal)
+        return congruence_level_test(evaluate(word, rep, ring, memo=memo), cert.ideal)
     if isinstance(cert, GenCommutator):
         side_a, side_b = (ideal_j, ideal_i) if cert.flipped else (ideal_i, ideal_j)
         for xsym, _ in cert.a.walk_x_letters(include_conjugators=False):
@@ -259,20 +289,23 @@ def validate_certificate(
         for xsym, _ in cert.b.walk_x_letters(include_conjugators=False):
             if not side_b.contains(xsym.coeff):
                 return False
-        expect = evaluate(commutator(cert.a, cert.b), rep, ring)
-        return evaluate(word, rep, ring) == expect
+        expect = evaluate(commutator(cert.a, cert.b), rep, ring, memo=memo)
+        return evaluate(word, rep, ring, memo=memo) == expect
     if isinstance(cert, ConjugateOf):
-        if not validate_certificate(cert.inner, cert.inner_word, ideal_i, ideal_j, rep, ring):
+        if not validate_certificate(
+            cert.inner, cert.inner_word, ideal_i, ideal_j, rep, ring, memo=memo
+        ):
             return False
-        expect = evaluate(conj_word(cert.inner_word, cert.by), rep, ring)
-        return evaluate(word, rep, ring) == expect
+        expect = evaluate(conj_word(cert.inner_word, cert.by), rep, ring, memo=memo)
+        return evaluate(word, rep, ring, memo=memo) == expect
     if isinstance(cert, ProductOf):
-        acc = rep.identity(ring)
         for part_word, part_cert in cert.parts:
-            if not validate_certificate(part_cert, part_word, ideal_i, ideal_j, rep, ring):
+            if not validate_certificate(
+                part_cert, part_word, ideal_i, ideal_j, rep, ring, memo=memo
+            ):
                 return False
-            acc = acc * evaluate(part_word, rep, ring)
-        return acc == evaluate(word, rep, ring)
+        parts = Word(tuple(sym for part_word, _ in cert.parts for sym in part_word.letters))
+        return evaluate(parts, rep, ring, memo=memo) == evaluate(word, rep, ring, memo=memo)
     raise WordError(f"unknown certificate {cert!r}")
 
 

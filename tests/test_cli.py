@@ -134,6 +134,23 @@ def test_default_report_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
 
 
+# The factorization path: symbolic main lemma checks (word evaluation and
+# certificate validation) and a finite Levi sample, pinned the same way.
+PINNED_FACTORIZATION_TASKS = [
+    {"command": "verify-main-lemma", "params": {"case": "C2Short"}},
+    {"command": "factorize-main-lemma", "params": {"case": "C2Long"}},
+    {"command": "verify-levi", "params": {"type": "A2", "ring": "Z/8", "ideal_i": "2", "ideal_j": "2", "samples": 20}},
+]
+PINNED_FACTORIZATION_SHA256 = "d1b6ab57fd9731428594d94eddc3042daae6c2b249b53e6850fcb4c65bf69e63"
+
+
+def test_factorization_report_pinned():
+    report = run_campaign(PINNED_FACTORIZATION_TASKS, seed=1, with_timings=False)
+    assert [entry["status"] for entry in report["tasks"]] == ["ok"] * len(PINNED_FACTORIZATION_TASKS)
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_FACTORIZATION_SHA256
+
+
 def test_bound_exceeded_is_an_error_result():
     from chevlab import cli
 

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +23,18 @@ from chevlab.reps import get_representation
 from chevlab.rings import Ideal, Ring, enumerate_elements
 from chevlab.roots import MainLemmaCase, get_system
 from chevlab.subgroups import BoundExceeded
-from chevlab.words import LICENSED_TAGS, certificate_tags, evaluate
+from chevlab.words import (
+    LICENSED_TAGS,
+    ConjSym,
+    ConjugateOf,
+    GenCommutator,
+    LevelElement,
+    ProductOf,
+    Word,
+    XSym,
+    certificate_tags,
+    evaluate,
+)
 
 SYMBOLIC = Ring.polynomial(Ring.integers(), ("xi", "zeta", "eta"))
 XI, ZETA, ETA = SYMBOLIC.vars()
@@ -65,6 +77,62 @@ def test_main_lemma_finite_ring_c2():
                 for eta in enumerate_elements(ring):
                     fact = main_lemma_word(case, xi, zeta, eta, ideal, ideal)
                     assert fact.verify(rep, ring, ideal, ideal)
+
+
+def _perturb_first_letter(word):
+    """The word with one more unit on the coefficient of its first x letter."""
+    sym = word.letters[0]
+    if isinstance(sym, XSym):
+        sym = XSym(sym.root, sym.coeff + sym.coeff.ring.one)
+    else:
+        sym = ConjSym(_perturb_first_letter(sym.base), sym.by)
+    return Word((sym,) + word.letters[1:])
+
+
+def _wrong_certificates(cert):
+    """Certificates that differ from cert in one leaf, none of them valid."""
+    if isinstance(cert, LevelElement):
+        yield LevelElement(IDEAL_I)  # holds the letters, but is not inside IJ
+        yield LevelElement(Ideal.of(SYMBOLIC, [XI * XI * ZETA * ZETA]))  # misses the letters
+    elif isinstance(cert, GenCommutator):
+        yield replace(cert, flipped=not cert.flipped)  # a's letters on the wrong side
+    elif isinstance(cert, ConjugateOf):
+        for inner in _wrong_certificates(cert.inner):
+            yield replace(cert, inner=inner)
+    elif isinstance(cert, ProductOf):
+        for k, (word, part) in enumerate(cert.parts):
+            for wrong in _wrong_certificates(part):
+                yield ProductOf(cert.parts[:k] + ((word, wrong),) + cert.parts[k + 1:])
+
+
+@pytest.mark.parametrize("case", [MainLemmaCase.A2, MainLemmaCase.C2_SHORT])
+def test_wrong_factorizations_fail_verification(case):
+    rep = get_representation(case.system_tag)
+    fact = main_lemma_word(case, XI, ZETA, ETA, IDEAL_I, IDEAL_J)
+
+    def verify(factors):
+        return replace(fact, factors=tuple(factors)).verify(rep, SYMBOLIC, IDEAL_I, IDEAL_J)
+
+    assert len(fact.factors) >= 2
+    wrong = []
+    for k, (word, cert) in enumerate(fact.factors):
+        others = list(fact.factors)
+        del others[k]
+        wrong.append(others)  # one factor dropped
+        perturbed = list(fact.factors)
+        perturbed[k] = (_perturb_first_letter(word), cert)
+        wrong.append(perturbed)  # one coefficient perturbed
+        certs = list(_wrong_certificates(cert))
+        assert certs
+        for bad in certs:  # one certificate replaced
+            swapped = list(fact.factors)
+            swapped[k] = (word, bad)
+            wrong.append(swapped)
+    for factors in wrong:
+        assert not verify(factors)
+        # nothing of a failed verification carries over to the next call
+        assert verify(fact.factors)
+        assert not verify(factors)
 
 
 def test_unit_decompose_examples():

@@ -122,6 +122,21 @@ def test_scalar_ideals_over_z_and_zn():
     assert Ideal(Z8, (16,)).is_zero and not Ideal(Z8, (3,)).is_zero
 
 
+def test_hand_built_scalar_generator_reduced_by_modulus():
+    # (3) is the unit ideal of Z/8 and (6) is (2); membership reads gcd(g, n)
+    assert all(Ideal(Z8, (3,)).contains(Z8.element(x)) for x in range(8))
+    assert [x for x in range(8) if Ideal(Z8, (6,)).contains(Z8.element(x))] == [0, 2, 4, 6]
+    assert [x for x in range(27) if Ideal(Z27, (12,)).contains(Z27.element(x))] == list(range(0, 27, 3))
+    for zero in (0, 8, 16):
+        assert [x for x in range(8) if Ideal(Z8, (zero,)).contains(Z8.element(x))] == [0]
+    Z = Ring.integers()
+    assert [x for x in range(-6, 7) if Ideal(Z, (3,)).contains(Z.element(x))] == [-6, -3, 0, 3, 6]
+    assert not Ideal(Z, (0,)).contains(Z.one) and Ideal(Z, (0,)).contains(Z.zero)
+    # Ideal.of already stores gcd(n, ...), unchanged
+    assert Ideal.of(Z8, [3]).gens == (1,) and Ideal.of(Z8, [6]).gens == (2,)
+    assert Ideal.of(Z8, [0]).gens == (8,) and Ideal.of(Z27, [12]).gens == (3,)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(st.integers(2, 10**4), st.integers(2**64, 2**70)),

@@ -3,13 +3,15 @@ import random
 import pytest
 
 from chevlab.reps import congruence_level_test, get_representation
-from chevlab.rings import Ideal, Ring
+from chevlab.rings import Ideal, MixedRings, Ring
 from chevlab.words import (
+    ConjSym,
     ConjugateOf,
     GenCommutator,
     LevelElement,
     ProductOf,
     Word,
+    ZSym,
     commutator,
     conj_word,
     evaluate,
@@ -19,10 +21,23 @@ from chevlab.words import (
     x_word,
     z_word,
 )
+from words_oracle import evaluate_by_symbols
 
 Z8 = Ring.mod(8)
 A2 = get_representation("A2")
 C2 = get_representation("C2")
+G2 = get_representation("G2")
+ZXZ = Ring.polynomial(Ring.integers(), ("xi", "zeta"))
+
+
+def _random_coeff(rng, ring):
+    if ring.kind == "Zn":
+        return ring.element(rng.randrange(ring.modulus))
+    # a small linear polynomial in the ring's variables
+    out = ring.element(rng.randint(-2, 2))
+    for v in ring.vars():
+        out = out + rng.randint(-2, 2) * v
+    return out
 
 
 def _random_word(rng, rep, ring, depth=0):
@@ -30,8 +45,8 @@ def _random_word(rng, rep, ring, depth=0):
     for _ in range(rng.randint(1, 3)):
         kind = rng.random()
         root = rng.choice(rep.system.roots)
-        t = ring.element(rng.randrange(ring.modulus))
-        s = ring.element(rng.randrange(ring.modulus))
+        t = _random_coeff(rng, ring)
+        s = _random_coeff(rng, ring)
         if kind < 0.5 or depth > 1:
             letters.extend(x_word(root, t).letters)
         elif kind < 0.8:
@@ -170,3 +185,65 @@ def test_level_certificate_needs_congruence():
     w = x_word(A2.system.root((1, 0)), Z8.element(2))
     assert not validate_certificate(LevelElement(ideal), w, ideal, ideal, A2, Z8)
     assert congruence_level_test(evaluate(w, A2, Z8), Ideal.of(Z8, [2]))
+
+
+def test_level_certificate_needs_an_ideal_inside_ij():
+    ring = Ring.polynomial(Ring.integers(), ("xi", "zeta"))
+    xi, zeta = ring.vars()
+    ideal_i, ideal_j = Ideal.of(ring, [xi]), Ideal.of(ring, [zeta])
+    w = x_word(A2.system.root((1, 0)), xi * zeta)
+    assert validate_certificate(LevelElement(ideal_i.product(ideal_j)), w, ideal_i, ideal_j, A2, ring)
+    # the letters lie in I, but level I does not license [E(I), E(J)]
+    assert congruence_level_test(evaluate(w, A2, ring), ideal_i)
+    assert not validate_certificate(LevelElement(ideal_i), w, ideal_i, ideal_j, A2, ring)
+    # inside IJ, but the letters are not of that level
+    narrow = Ideal.of(ring, [xi * xi * zeta])
+    assert not validate_certificate(LevelElement(narrow), w, ideal_i, ideal_j, A2, ring)
+
+
+def _symbols(word):
+    """Every symbol of the word, those inside conjugates included."""
+    for sym in word.letters:
+        yield sym
+        if isinstance(sym, ConjSym):
+            yield from _symbols(sym.base)
+            yield from _symbols(sym.by)
+
+
+def _has_nested_conjugate(word):
+    return any(
+        isinstance(sym, ConjSym) and any(isinstance(t, ConjSym) for t in _symbols(sym.base * sym.by))
+        for sym in word.letters
+    )
+
+
+@pytest.mark.parametrize(
+    "rep, ring",
+    [(A2, Z8), (A2, Ring.mod(27)), (A2, ZXZ), (C2, Z8), (C2, Ring.mod(27)), (C2, ZXZ), (G2, Ring.mod(9))],
+    ids=["A2-Z8", "A2-Z27", "A2-Zxz", "C2-Z8", "C2-Z27", "C2-Zxz", "G2-Z9"],
+)
+def test_flat_evaluation_matches_symbol_oracle(rep, ring):
+    rng = random.Random(11)
+    words = [_random_word(rng, rep, ring) for _ in range(12 if rep is G2 else 20)]
+    assert any(_has_nested_conjugate(w) for w in words)
+    assert any(isinstance(sym, ZSym) for w in words for sym in _symbols(w))
+    # repeats, products and inverses give a shared memo hits and near misses
+    words += [words[0], words[1] * words[2], words[2].inverse(), words[0]]
+    memo = {}
+    for w in words:
+        expect = evaluate_by_symbols(w, rep, ring)
+        assert evaluate(w, rep, ring) == expect
+        assert evaluate(w, rep, ring, memo=memo) == expect
+    assert len(memo) == len(set(words))
+
+
+def test_flat_evaluation_checks_the_ring():
+    root = A2.system.root((1, 0))
+    z27 = Ring.mod(27)
+    for word in (
+        x_word(root, z27.one),
+        z_word(root, Z8.one, z27.one),
+        conj_word(x_word(root, Z8.one), x_word(-root, z27.one)),
+    ):
+        with pytest.raises(MixedRings):
+            evaluate(word, A2, Z8)
