@@ -199,14 +199,12 @@ class CertifiedFactorization:
 
     def verify(self, rep: Representation, ring: Ring, ideal_i: Ideal, ideal_j: Ideal) -> bool:
         """The target equals the product of the factors, and each factor's
-        certificate holds.  The evaluations share one memo, dropped on
-        return."""
-        memo: dict = {}
+        certificate holds."""
         product = Word(tuple(sym for word, _ in self.factors for sym in word.letters))
-        if evaluate(self.target, rep, ring, memo=memo) != evaluate(product, rep, ring, memo=memo):
+        if evaluate(self.target, rep, ring) != evaluate(product, rep, ring):
             return False
         return all(
-            validate_certificate(cert, word, ideal_i, ideal_j, rep, ring, memo=memo)
+            validate_certificate(cert, word, ideal_i, ideal_j, rep, ring)
             for word, cert in self.factors
         )
 

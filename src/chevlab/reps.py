@@ -19,7 +19,7 @@ remainder raises RepresentationError naming the root and the divisor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -64,8 +64,6 @@ class Representation:
     # power e^(k) = e^k/k! for k = 1 .. nilpotency-1
     powers: dict
     symplectic_form: tuple | None = None
-    # (root, dtype) -> numpy blocks for x over Z/n, filled by _np_powers
-    _np_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -85,21 +83,21 @@ class Representation:
         if root.system != self.system.type_tag:
             raise RepresentationError(f"{root} does not belong to {self.name}")
         ring = coeff.ring
+        power_blocks = self.powers[root]
         if ring.kind == "Zn":
             n = ring.modulus
             dtype = np.int64 if int64_safe(n, max(self.block_dims)) else object
-            eyes, power_arrays = self._np_powers(root, dtype)
             c = coeff.payload
             blocks = []
-            for b, acc in enumerate(eyes):
+            for b, d in enumerate(self.block_dims):
+                acc = np.eye(d, dtype=dtype)
                 ck = 1
-                for arrays in power_arrays:
+                for k, mats in enumerate(power_blocks, start=1):
                     ck = (ck * c) % n
                     if ck:
-                        acc = acc + ck * arrays[b]
+                        acc = acc + ck * np.array(mats[b], dtype=dtype)
                 blocks.append(acc % n)
             return GroupElement(self, ring, "np", tuple(blocks))
-        power_blocks = self.powers[root]
         blocks = []
         for b, d in enumerate(self.block_dims):
             entries: dict = {}
@@ -119,21 +117,6 @@ class Representation:
                 entries[(i, i)] = ring.one if prev is None else prev + ring.one
             blocks.append(ExactMatrix.build(ring, d, entries))
         return GroupElement(self, ring, "exact", tuple(blocks))
-
-    def _np_powers(self, root: Root, dtype) -> tuple:
-        """The identity blocks and the divided powers of one root as
-        read-only arrays of dtype, built once per representation."""
-        cached = self._np_cache.get((root, dtype))
-        if cached is None:
-            def frozen(mat):
-                arr = np.array(mat, dtype=dtype)
-                arr.setflags(write=False)
-                return arr
-
-            eyes = tuple(frozen(np.eye(d, dtype=dtype)) for d in self.block_dims)
-            powers = tuple(tuple(frozen(m) for m in mats) for mats in self.powers[root])
-            cached = self._np_cache[(root, dtype)] = (eyes, powers)
-        return cached
 
     def z(self, root: Root, xi: RingElement, eta: RingElement) -> "GroupElement":
         """Conjugated generator x_{-a}(eta) x_a(xi) x_{-a}(-eta)."""

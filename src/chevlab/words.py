@@ -3,9 +3,9 @@ certificates.
 
 Words store symbols, never matrices, so one factorization can be evaluated
 over many coefficient rings.  A word evaluates as one flat product of its
-elementary letters, with z symbols and conjugates expanded in place.  The
-evaluations of one verification may share a memo keyed by word; it lives
-only as long as that verification.
+elementary letters, with z symbols and conjugates expanded in place.
+Evaluations are not cached; a certificate check whose predicted word is
+the certified word itself skips both evaluations.
 
 Certificates are small proof trees whose leaves are checkable by ideal
 membership and congruence tests; the composite tags lean on the licensing
@@ -179,27 +179,19 @@ def _walk_x(sym, include_conjugators):
 # evaluation
 
 
-def evaluate(
-    word: Word, rep: Representation, ring: Ring, *, memo: dict | None = None
-) -> GroupElement:
+def evaluate(word: Word, rep: Representation, ring: Ring) -> GroupElement:
     """Left-to-right product of the word's elementary letters.
 
     Z symbols and conjugates are expanded in place (see ``_elementary``),
     so the running product, which starts from the first letter, is only
-    ever multiplied by one elementary matrix at a time.  ``memo`` maps
-    words to their values; one verification passes one dict to all of its
-    evaluations and drops it when it returns.
+    ever multiplied by one elementary matrix at a time.
     """
-    if memo is not None and word in memo:
-        return memo[word]
     out = None
     for sym in _elementary(word.letters, ring):
         g = rep.x(sym.root, sym.coeff)
         out = g if out is None else out * g
     if out is None:
         out = rep.identity(ring)
-    if memo is not None:
-        memo[word] = out
     return out
 
 
@@ -266,11 +258,10 @@ def validate_certificate(
     ideal_j: Ideal,
     rep: Representation,
     ring: Ring,
-    *,
-    memo: dict | None = None,
 ) -> bool:
-    """Check a certificate's leaves and shape against its word.  ``memo``
-    is passed on to every evaluation (see ``evaluate``)."""
+    """Check a certificate's leaves and shape against its word.  Where the
+    word the certificate predicts is the word itself, the two evaluations
+    are skipped: equal words have equal values."""
     if isinstance(cert, LevelElement):
         if not ideal_i.product(ideal_j).contains_ideal(cert.ideal):
             return False
@@ -280,7 +271,7 @@ def validate_certificate(
         for xsym, _ in word.walk_x_letters(include_conjugators=False):
             if not cert.ideal.contains(xsym.coeff):
                 return False
-        return congruence_level_test(evaluate(word, rep, ring, memo=memo), cert.ideal)
+        return congruence_level_test(evaluate(word, rep, ring), cert.ideal)
     if isinstance(cert, GenCommutator):
         side_a, side_b = (ideal_j, ideal_i) if cert.flipped else (ideal_i, ideal_j)
         for xsym, _ in cert.a.walk_x_letters(include_conjugators=False):
@@ -289,24 +280,22 @@ def validate_certificate(
         for xsym, _ in cert.b.walk_x_letters(include_conjugators=False):
             if not side_b.contains(xsym.coeff):
                 return False
-        expect = evaluate(commutator(cert.a, cert.b), rep, ring, memo=memo)
-        return evaluate(word, rep, ring, memo=memo) == expect
+        return _same_value(commutator(cert.a, cert.b), word, rep, ring)
     if isinstance(cert, ConjugateOf):
-        if not validate_certificate(
-            cert.inner, cert.inner_word, ideal_i, ideal_j, rep, ring, memo=memo
-        ):
+        if not validate_certificate(cert.inner, cert.inner_word, ideal_i, ideal_j, rep, ring):
             return False
-        expect = evaluate(conj_word(cert.inner_word, cert.by), rep, ring, memo=memo)
-        return evaluate(word, rep, ring, memo=memo) == expect
+        return _same_value(conj_word(cert.inner_word, cert.by), word, rep, ring)
     if isinstance(cert, ProductOf):
         for part_word, part_cert in cert.parts:
-            if not validate_certificate(
-                part_cert, part_word, ideal_i, ideal_j, rep, ring, memo=memo
-            ):
+            if not validate_certificate(part_cert, part_word, ideal_i, ideal_j, rep, ring):
                 return False
         parts = Word(tuple(sym for part_word, _ in cert.parts for sym in part_word.letters))
-        return evaluate(parts, rep, ring, memo=memo) == evaluate(word, rep, ring, memo=memo)
+        return _same_value(parts, word, rep, ring)
     raise WordError(f"unknown certificate {cert!r}")
+
+
+def _same_value(expect: Word, word: Word, rep: Representation, ring: Ring) -> bool:
+    return expect == word or evaluate(expect, rep, ring) == evaluate(word, rep, ring)
 
 
 def certificate_tags(cert) -> set[str]:

@@ -233,39 +233,6 @@ def test_modular_products_exact_past_int64(tag, n):
     assert same == prod and hash(same) == hash(prod)
 
 
-def _x_direct(rep, root, coeff):
-    """x_root(coeff) over Z/n built from the nested-tuple divided powers on
-    every call: the construction that the cached arrays of Representation.x
-    replace."""
-    n = coeff.ring.modulus
-    dtype = np.int64 if int64_safe(n, max(rep.block_dims)) else object
-    c = coeff.payload
-    blocks = []
-    for b, d in enumerate(rep.block_dims):
-        acc = np.eye(d, dtype=dtype)
-        ck = 1
-        for mats in rep.powers[root]:
-            ck = (ck * c) % n
-            if ck:
-                acc = acc + ck * np.array(mats[b], dtype=dtype)
-        blocks.append(acc % n)
-    return blocks
-
-
-@pytest.mark.parametrize("tag", ["A2", "C2", "G2"])
-@pytest.mark.parametrize("n", [8, 27, 2**64 + 13])
-def test_cached_x_matches_direct_build(tag, n):
-    rep, ring = get_representation(tag), Ring.mod(n)
-    rng = random.Random(n)
-    for root in rep.system.roots:
-        for c in (0, 1, n - 1, rng.randrange(n), rng.randrange(n)):
-            g = rep.x(root, ring.element(c))
-            direct = _x_direct(rep, root, ring.element(c))
-            assert [b.dtype for b in g.blocks] == [b.dtype for b in direct]
-            assert [b.tolist() for b in g.blocks] == [b.tolist() for b in direct]
-            assert all(b.flags.writeable for b in g.blocks)
-
-
 @pytest.mark.parametrize("tag", ["A2", "C2", "G2"])
 def test_integer_build_matches_fraction_oracle(tag):
     rep, oracle = get_representation(tag), oracle_representation(tag)
