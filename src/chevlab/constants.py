@@ -76,16 +76,12 @@ def compute_table(rep: Representation) -> StructureConstantTable:
     xi, zeta = ring.vars()
     entries: dict = {}
     for alpha in rep.system.roots:
+        x_alpha = rep.x(alpha, xi)
         for beta in rep.system.roots:
             if beta == alpha or beta == -alpha:
                 continue
             cone = cone_roots(alpha, beta)
-            target = (
-                rep.x(alpha, xi)
-                * rep.x(beta, zeta)
-                * rep.x(alpha, -xi)
-                * rep.x(beta, -zeta)
-            )
+            target = x_alpha.times_x(beta, zeta).times_x(alpha, -xi).times_x(beta, -zeta)
             residual = target
             for i, j, root in cone:
                 coeff = _peel_monomial(rep, residual, root)

@@ -5,6 +5,14 @@ other than Z/n: over Z and over the polynomial rings of the symbolic
 checks, whose entries are multivariate polynomials.
 The representations themselves are built over plain Python ints in
 ``reps``; there is no second matrix layer here.
+
+Besides the full product, a matrix takes one letter x_a(c) on the right
+as column operations: ``times_one_plus`` computes M (1 + N) = M + M N for
+the few nonzeros of N = x_a(c) - 1.  A row of M that meets no row of N is
+kept as it is; every entry that changes is one ``Ring.sum_of_products``
+over its old value and its products with N.  The canonical key behind
+``==`` and ``hash`` is built on first use, since most products are only
+ever multiplied further.
 """
 from __future__ import annotations
 
@@ -12,7 +20,8 @@ from .rings import MixedRings, Ring, RingElement
 
 
 class ExactMatrix:
-    """Immutable square matrix over a Ring, stored as sparse rows."""
+    """Immutable square matrix over a Ring, stored as sparse rows; a row
+    dict may be shared by several matrices, and none is ever changed."""
 
     __slots__ = ("ring", "dim", "rows", "_key")
 
@@ -20,8 +29,7 @@ class ExactMatrix:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rows", rows)
-        key = tuple(tuple(sorted(r.items(), key=lambda kv: kv[0])) for r in rows)
-        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("ExactMatrix is immutable")
@@ -60,15 +68,51 @@ class ExactMatrix:
             out_rows.append(out)
         return ExactMatrix(self.ring, self.dim, tuple(out_rows))
 
+    def times_one_plus(self, nil: dict) -> "ExactMatrix":
+        """self * (1 + N) for a sparse N over the same ring, given as
+        {i: ((j, N_ij), ...)} with nonzero N_ij."""
+        sum_of_products = self.ring.sum_of_products
+        one = self.ring.one
+        out_rows = []
+        for row in self.rows:
+            changed: dict[int, list] = {}
+            for i, cols in nil.items():
+                a = row.get(i)
+                if a is None:
+                    continue
+                for j, n in cols:
+                    pairs = changed.get(j)
+                    if pairs is None:
+                        old = row.get(j)
+                        pairs = changed[j] = [] if old is None else [(old, one)]
+                    pairs.append((a, n))
+            if changed:
+                row = dict(row)
+                for j, pairs in changed.items():
+                    v = sum_of_products(pairs)
+                    if v.is_zero:
+                        row.pop(j, None)
+                    else:
+                        row[j] = v
+            out_rows.append(row)
+        return ExactMatrix(self.ring, self.dim, tuple(out_rows))
+
+    def key(self) -> tuple:
+        """The rows' entries sorted by column: equal matrices, equal keys."""
+        if self._key is None:
+            key = tuple(tuple(sorted(r.items(), key=lambda kv: kv[0])) for r in self.rows)
+            object.__setattr__(self, "_key", key)
+        return self._key
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExactMatrix)
             and self.ring == other.ring
-            and self._key == other._key
+            and self.key() == other.key()
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring, self._key))
+        return hash((self.ring, self.key()))
 
     @property
     def is_identity(self) -> bool:

@@ -16,6 +16,17 @@ at each division rather than assumed: a composite root vector
 [e_s, e_d]/(p+1), a divided power e^k/k! and each coordinate of the G2
 adjoint block read off the basis are exact divisions, and a nonzero
 remainder raises RepresentationError naming the root and the divisor.
+
+Each representation also keeps, per root and block, the sparse power
+index: the entries (i, j) where some divided power is nonzero, with their
+values (v_1, ..., v_K) in e^(1), ..., e^(K).  Over an exact ring a letter
+x_a(c) is read off it as N = x_a(c) - 1, N_ij = sum_k c^k v_k, a handful
+of entries per block (for G2, 2 or 5 of the 49 in the 7-block and 8 to 17
+of the 196 in the 14-block).  ``Representation.x`` adds the identity to
+N; ``GroupElement.times_x`` applies the letter to a running product M as
+the column operations M + M N, so a word builds only its first letter as
+a matrix.  Over Z/n letters are numpy matrices and ``times_x`` is the
+plain product.
 """
 from __future__ import annotations
 
@@ -65,6 +76,14 @@ class Representation:
     powers: dict
     symplectic_form: tuple | None = None
 
+    def __post_init__(self) -> None:
+        # the sparse power index of the module docstring; a plain attribute,
+        # not a field, read by the exact letters and the peeling
+        object.__setattr__(self, "_sparse_powers", {
+            root: tuple(_sparse_block(mats) for mats in zip(*power_blocks))
+            for root, power_blocks in self.powers.items()
+        })
+
     @property
     def dimension(self) -> int:
         return sum(self.block_dims)
@@ -98,25 +117,40 @@ class Representation:
                         acc = acc + ck * np.array(mats[b], dtype=dtype)
                 blocks.append(acc % n)
             return GroupElement(self, ring, "np", tuple(blocks))
+        # N has a zero diagonal: a root vector moves each vector of the
+        # weight bases here to another weight
+        one = ring.one
         blocks = []
-        for b, d in enumerate(self.block_dims):
-            entries: dict = {}
-            ck = ring.one
-            for k, mats in enumerate(power_blocks, start=1):
-                ck = ck * coeff
-                if ck.is_zero:
-                    break
-                for i, row in enumerate(mats[b]):
-                    for j, v in enumerate(row):
-                        if v:
-                            prev = entries.get((i, j))
-                            term = ck * v
-                            entries[(i, j)] = term if prev is None else prev + term
-            for i in range(d):
-                prev = entries.get((i, i))
-                entries[(i, i)] = ring.one if prev is None else prev + ring.one
-            blocks.append(ExactMatrix.build(ring, d, entries))
+        for d, nil in zip(self.block_dims, self._nilpotent(root, coeff)):
+            rows = [{i: one} for i in range(d)]
+            for i, cols in nil.items():
+                rows[i].update(cols)
+            blocks.append(ExactMatrix(ring, d, tuple(rows)))
         return GroupElement(self, ring, "exact", tuple(blocks))
+
+    def _nilpotent(self, root: Root, coeff: RingElement) -> tuple[dict, ...]:
+        """N = x_root(coeff) - 1 over an exact ring, one {i: ((j, N_ij), ...)}
+        per block with nonzero N_ij = sum_k coeff^k e^(k)_ij, read off the
+        sparse power index."""
+        ring = coeff.ring
+        powers = []
+        ck = ring.one
+        for _ in self.powers[root]:
+            ck = ck * coeff
+            if ck.is_zero:
+                break
+            powers.append(ck)
+        out = []
+        for block in self._sparse_powers[root]:
+            nil: dict[int, list] = {}
+            for i, j, vals in block:
+                n = ring.sum_of_products(
+                    (c, ring.element(v)) for c, v in zip(powers, vals) if v
+                )
+                if not n.is_zero:
+                    nil.setdefault(i, []).append((j, n))
+            out.append(nil)
+        return tuple(out)
 
     def z(self, root: Root, xi: RingElement, eta: RingElement) -> "GroupElement":
         """Conjugated generator x_{-a}(eta) x_a(xi) x_{-a}(-eta)."""
@@ -148,7 +182,7 @@ class GroupElement:
         if self._key is None:
             n = self.ring.modulus
             if self.backend == "exact":
-                raw = tuple(b._key for b in self.blocks)
+                raw = tuple(b.key() for b in self.blocks)
             elif n <= 1 << 63:
                 raw = b"".join(
                     np.ascontiguousarray(b % n, dtype=np.int64).tobytes()
@@ -174,6 +208,22 @@ class GroupElement:
                 )
             return GroupElement(self.rep, self.ring, "np", blocks)
         blocks = tuple(a * b for a, b in zip(self.blocks, other.blocks))
+        return GroupElement(self.rep, self.ring, "exact", blocks)
+
+    def times_x(self, root: Root, coeff: RingElement) -> "GroupElement":
+        """self * rep.x(root, coeff).  Over an exact ring the letter is not
+        built: each block takes N = x_root(coeff) - 1 as column operations
+        (``ExactMatrix.times_one_plus``)."""
+        if self.backend == "np":
+            return self * self.rep.x(root, coeff)
+        if coeff.ring != self.ring:
+            raise MixedRings(f"{coeff.ring} vs {self.ring}")
+        if root.system != self.rep.system.type_tag:
+            raise RepresentationError(f"{root} does not belong to {self.rep.name}")
+        blocks = tuple(
+            b.times_one_plus(nil)
+            for b, nil in zip(self.blocks, self.rep._nilpotent(root, coeff))
+        )
         return GroupElement(self.rep, self.ring, "exact", blocks)
 
     def __eq__(self, other) -> bool:
@@ -226,6 +276,18 @@ class GroupElement:
 
 # ---------------------------------------------------------------------------
 # representation builders
+
+
+def _sparse_block(mats: tuple) -> tuple:
+    """The nonzero (i, j, (v_1, ..., v_K)) of one block's divided powers
+    e^(1), ..., e^(K), row by row."""
+    dim = len(mats[0])
+    return tuple(
+        (i, j, vals)
+        for i in range(dim)
+        for j in range(dim)
+        if any(vals := tuple(m[i][j] for m in mats))
+    )
 
 
 def _mat(dim: int, entries: dict) -> tuple:
@@ -532,21 +594,18 @@ def unipotent_coordinates(
 
 
 def _leading_coefficient(g: GroupElement, root: Root) -> RingElement:
-    nil = g.rep.powers[root][0]
-    ring = g.ring
     best = None
-    for b, block in enumerate(nil):
-        for i, row in enumerate(block):
-            for j, v in enumerate(row):
-                if v == 0:
-                    continue
-                entry = g.entry(b, i, j)
-                t = entry.divide_int(v)
-                if t is not None:
-                    if abs(v) == 1:
-                        return t
-                    if best is None:
-                        best = t
+    for b, block in enumerate(g.rep._sparse_powers[root]):
+        for i, j, vals in block:
+            v = vals[0]
+            if v == 0:
+                continue
+            t = g.entry(b, i, j).divide_int(v)
+            if t is not None:
+                if abs(v) == 1:
+                    return t
+                if best is None:
+                    best = t
     if best is None:
         raise PeelError(f"cannot read the {root.name} coordinate")
     return best
@@ -583,30 +642,26 @@ class SteinbergReport:
 def verify_steinberg(rep: Representation) -> SteinbergReport:
     """Check additivity and every non-opposite Chevalley commutator
     relation symbolically over Z[xi, zeta]."""
-    from . import constants  # deferred: constants builds on this module
+    # deferred: constants and words build on this module
+    from . import constants
+    from .words import evaluate
 
     ring = Ring.polynomial(Ring.integers(), ("xi", "zeta"))
     xi, zeta = ring.vars()
     additivity = []
     for root in rep.system.roots:
-        lhs = rep.x(root, xi) * rep.x(root, zeta)
+        lhs = rep.x(root, xi).times_x(root, zeta)
         rhs = rep.x(root, xi + zeta)
         additivity.append((f"x_{root.name} additive", lhs == rhs))
     table = constants.compute_table(rep)
     commutators = []
     for alpha in rep.system.roots:
+        x_alpha = rep.x(alpha, xi)
         for beta in rep.system.roots:
             if beta == alpha or beta == -alpha:
                 continue
-            lhs = (
-                rep.x(alpha, xi)
-                * rep.x(beta, zeta)
-                * rep.x(alpha, -xi)
-                * rep.x(beta, -zeta)
-            )
+            lhs = x_alpha.times_x(beta, zeta).times_x(alpha, -xi).times_x(beta, -zeta)
             word = constants.chevalley_commutator_word(table, alpha, beta, xi, zeta)
-            from .words import evaluate
-
             rhs = evaluate(word, rep, ring)
             commutators.append(
                 (f"[x_{alpha.name}, x_{beta.name}]", lhs == rhs)

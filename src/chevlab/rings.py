@@ -171,16 +171,20 @@ class Ring:
 
     def sum_of_products(self, pairs) -> "RingElement":
         """sum(a * b for a, b in pairs) over elements of this ring: every
-        product goes into one accumulator, and one element is built."""
+        product goes into one accumulator, and one element is built.  Of
+        each pair the shorter polynomial is the outer loop."""
         if self.kind != "poly":
             s, n = sum(a.payload * b.payload for a, b in pairs), self._cmod
             return RingElement(self, s % n if n else s)
         acc: dict[int, int] = {}
         get = acc.get
         for a, b in pairs:
-            right = b.payload.items()
-            for m1, c1 in a.payload.items():
-                for m2, c2 in right:
+            outer, inner = a.payload, b.payload
+            if len(outer) > len(inner):
+                outer, inner = inner, outer
+            inner = inner.items()
+            for m1, c1 in outer.items():
+                for m2, c2 in inner:
                     m = m1 + m2
                     acc[m] = get(m, 0) + c1 * c2
         return self._poly(acc)

@@ -183,13 +183,15 @@ def evaluate(word: Word, rep: Representation, ring: Ring) -> GroupElement:
     """Left-to-right product of the word's elementary letters.
 
     Z symbols and conjugates are expanded in place (see ``_elementary``),
-    so the running product, which starts from the first letter, is only
-    ever multiplied by one elementary matrix at a time.
+    so the running product, which starts from the first letter, only ever
+    takes one elementary letter at a time (``GroupElement.times_x``).
     """
     out = None
     for sym in _elementary(word.letters, ring):
-        g = rep.x(sym.root, sym.coeff)
-        out = g if out is None else out * g
+        if out is None:
+            out = rep.x(sym.root, sym.coeff)
+        else:
+            out = out.times_x(sym.root, sym.coeff)
     if out is None:
         out = rep.identity(ring)
     return out

@@ -151,6 +151,23 @@ def test_factorization_report_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_FACTORIZATION_SHA256
 
 
+# The identity layer of G2: the Steinberg relations, the structure
+# constants and the symbolic main lemma, pinned the same way.
+PINNED_G2_IDENTITY_TASKS = [
+    {"command": "verify-steinberg", "params": {"type": "G2"}},
+    {"command": "verify-chevalley", "params": {"type": "G2"}},
+    {"command": "verify-main-lemma", "params": {"case": "G2Short"}},
+]
+PINNED_G2_IDENTITY_SHA256 = "4c47719501fa4acfe0eac40b474adb8d7813ebe1bf118bf965246f0a26639bc0"
+
+
+def test_g2_identity_report_pinned():
+    report = run_campaign(PINNED_G2_IDENTITY_TASKS, seed=1, with_timings=False)
+    assert [entry["status"] for entry in report["tasks"]] == ["ok"] * len(PINNED_G2_IDENTITY_TASKS)
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_G2_IDENTITY_SHA256
+
+
 def test_bound_exceeded_is_an_error_result():
     from chevlab import cli
 

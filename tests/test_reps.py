@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from chevlab import constants
 from chevlab.constants import compute_table
 from chevlab.reps import (
     GroupElement,
@@ -18,8 +19,9 @@ from chevlab.reps import (
     unipotent_coordinates,
     verify_steinberg,
 )
-from chevlab.rings import Ideal, Ring, enumerate_elements
+from chevlab.rings import MAX_EXPONENT, DegreeOverflow, Ideal, MixedRings, Ring, enumerate_elements
 from chevlab.words import Word, XSym, evaluate, x_word
+from letters_oracle import dense_x, times_x_by_product
 from reps_oracle import oracle_representation
 
 
@@ -283,3 +285,114 @@ def test_exact_reduction_matches_numpy_backend(tag, letters, n):
     assert reduced == modular
     dtype = np.int64 if int64_safe(n, max(rep.block_dims)) else object
     assert all(b.dtype == dtype for b in reduced.blocks)
+
+
+# ---------------------------------------------------------------------------
+# letters as column operations
+
+
+ZXZ = Ring.polynomial(Ring.integers(), ("xi", "zeta"))
+Z9X = Ring.polynomial(Ring.mod(9), ("xi",))
+
+
+def _letter_coefficients(rng, ring) -> list:
+    """Zero, single terms and multi-term polynomials (integers over Z); over
+    Z/9[xi] also 3*xi, whose square is zero."""
+    if ring.kind == "Z":
+        return [ring.zero, ring.one, ring.element(-2), ring.element(rng.randint(-9, 9))]
+    nvars = len(ring.variables)
+
+    def term():
+        return ring.term(rng.choice([-2, -1, 1, 2, 3]), tuple(rng.randint(0, 2) for _ in range(nvars)))
+
+    out = [ring.zero, term(), term() + term(), term() + term() + term()]
+    if ring == Z9X:
+        out.append(3 * ring.var("xi"))
+    return out
+
+
+def _oracle_product(rng, rep, ring, letters: int):
+    g = dense_x(rep, rng.choice(rep.system.roots), rng.choice(_letter_coefficients(rng, ring)))
+    for _ in range(letters - 1):
+        g = times_x_by_product(g, rng.choice(rep.system.roots), rng.choice(_letter_coefficients(rng, ring)))
+    return g
+
+
+@pytest.mark.parametrize("tag", ["A2", "C2", "G2"])
+@pytest.mark.parametrize("ring", [Ring.integers(), ZXZ, Z9X], ids=["Z", "Zxz", "Z9x"])
+def test_letter_application_matches_full_product(tag, ring):
+    rep = get_representation(tag)
+    rng = random.Random(f"{tag}-{ring}")
+    if tag == "G2":
+        # the short roots' letters reach their third divided power
+        assert max(len(rep.powers[root]) for root in rep.system.roots) == 3
+    products = [rep.identity(ring)] + [_oracle_product(rng, rep, ring, k) for k in (1, 2, 3)]
+    for root in rep.system.roots:
+        for c in _letter_coefficients(rng, ring):
+            assert rep.x(root, c) == dense_x(rep, root, c)
+            g = rng.choice(products)
+            after = g.times_x(root, c)
+            assert after == times_x_by_product(g, root, c)
+            # the inverse letter takes every changed entry back, zeros included
+            assert after.times_x(root, -c) == g
+
+
+def test_letter_keeps_the_rows_it_does_not_touch():
+    rep = get_representation("G2")
+    xi, zeta = ZXZ.vars()
+    alpha, beta = rep.system.roots[0], rep.system.roots[1]
+    g = rep.x(alpha, xi)
+    after = g.times_x(beta, zeta)
+    for before_block, after_block in zip(g.blocks, after.blocks):
+        kept = [a is b for a, b in zip(before_block.rows, after_block.rows)]
+        assert any(kept) and not all(kept)
+
+
+def test_letter_past_the_largest_exponent_raises():
+    rep = get_representation("G2")
+    ring = Ring.polynomial(Ring.integers(), ("xi",))
+    (xi,) = ring.vars()
+    g = rep.x(rep.system.roots[0], xi)
+    cube = next(r for r in rep.system.roots if len(rep.powers[r]) == 3)
+    # c^3 is past the field, c^2 is not
+    c = ring.term(1, (MAX_EXPONENT // 3 + 1,))
+    with pytest.raises(DegreeOverflow):
+        g.times_x(cube, c)
+    with pytest.raises(DegreeOverflow):
+        rep.x(cube, c)
+    # the letter is fine, the product with the running matrix is not
+    a2 = get_representation("A2")
+    top = a2.x(a2.system.root((1, 0)), ring.term(1, (MAX_EXPONENT,)))
+    with pytest.raises(DegreeOverflow):
+        top.times_x(a2.system.root((0, 1)), xi)
+
+
+def test_letter_from_another_ring_refused():
+    rep = get_representation("C2")
+    xi, _ = ZXZ.vars()
+    g = rep.x(rep.system.roots[0], xi)
+    for coeff in (Z8.one, Ring.integers().one, Z9X.var("xi"), Ring.polynomial(Ring.integers(), ("xi",)).var("xi")):
+        with pytest.raises(MixedRings):
+            g.times_x(rep.system.roots[1], coeff)
+    with pytest.raises(RepresentationError):
+        g.times_x(get_representation("A2").system.roots[0], xi)
+
+
+@pytest.mark.parametrize("tag", ["A2", "C2", "G2"])
+def test_steinberg_fails_on_a_perturbed_commutator_word(tag, monkeypatch):
+    original = constants.chevalley_commutator_word
+    flipped = []
+
+    def perturbed(table, alpha, beta, xi, zeta):
+        word = original(table, alpha, beta, xi, zeta)
+        if word.letters and not flipped:
+            flipped.append(f"[x_{alpha.name}, x_{beta.name}]")
+            first, *rest = word.letters
+            return Word((XSym(first.root, -first.coeff), *rest))
+        return word
+
+    monkeypatch.setattr(constants, "chevalley_commutator_word", perturbed)
+    report = verify_steinberg(get_representation(tag))
+    assert len(flipped) == 1
+    assert not report.passed
+    assert report.counts()["failures"] == flipped

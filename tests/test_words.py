@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from chevlab.factorize import main_lemma_word
 from chevlab.reps import congruence_level_test, get_representation
 from chevlab.rings import Ideal, MixedRings, Ring
+from chevlab.roots import MainLemmaCase
 from chevlab.words import (
     ConjSym,
     ConjugateOf,
@@ -258,6 +260,24 @@ def test_flat_evaluation_matches_symbol_oracle(rep, ring):
     words += [words[1] * words[2], words[2].inverse()]
     for w in words:
         assert evaluate(w, rep, ring) == evaluate_by_symbols(w, rep, ring)
+
+
+def test_flat_evaluation_matches_symbol_oracle_on_g2_symbolic_words():
+    # the G2Short main lemma's words, and random words whose conjugates
+    # hold x letters only: nested conjugates over Z[xi,zeta] reach
+    # polynomials that take the oracle seconds a word
+    ring = Ring.polynomial(Ring.integers(), ("xi", "zeta", "eta"))
+    xi, zeta, eta = ring.vars()
+    fact = main_lemma_word(
+        MainLemmaCase.G2_SHORT, xi, zeta, eta, Ideal.of(ring, [xi]), Ideal.of(ring, [zeta])
+    )
+    words = [fact.target] + [word for word, _ in fact.factors]
+    rng = random.Random(11)
+    words += [_random_word(rng, G2, ring, depth=1) for _ in range(12)]
+    assert any(isinstance(sym, ConjSym) for w in words for sym in w.letters)
+    assert any(isinstance(sym, ZSym) for w in words for sym in _symbols(w))
+    for w in words:
+        assert evaluate(w, G2, ring) == evaluate_by_symbols(w, G2, ring)
 
 
 def test_flat_evaluation_checks_the_ring():
