@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .reps import PeelError, Representation, get_representation
+from .reps import Representation, _leading_coefficient, get_representation
 from .rings import Ring, RingElement
 from .roots import MainLemmaCase, OppositeRoots, Root, canonical_case_root
 
@@ -84,7 +84,7 @@ def compute_table(rep: Representation) -> StructureConstantTable:
             target = x_alpha.times_x(beta, zeta).times_x(alpha, -xi).times_x(beta, -zeta)
             residual = target
             for i, j, root in cone:
-                coeff = _peel_monomial(rep, residual, root)
+                coeff = _leading_coefficient(residual, root)
                 n = _as_integer_multiple(coeff, i, j)
                 if n is None:
                     raise ExtractionFailure(
@@ -104,15 +104,6 @@ def compute_table(rep: Representation) -> StructureConstantTable:
                     "factor through its root cone"
                 )
     return StructureConstantTable(rep.name, rep.system.type_tag, entries)
-
-
-def _peel_monomial(rep, residual, root) -> RingElement:
-    from .reps import _leading_coefficient
-
-    try:
-        return _leading_coefficient(residual, root)
-    except PeelError as exc:
-        raise ExtractionFailure(str(exc)) from exc
 
 
 def _as_integer_multiple(coeff: RingElement, i: int, j: int) -> int | None:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .constants import SignNormalization, compute_table, normalize_signs
 from .reps import (
     GroupElement,
@@ -21,6 +23,7 @@ from .reps import (
     Representation,
     get_representation,
     unipotent_coordinates,
+    unipotent_coordinates_stack,
 )
 from .rings import (
     Ideal,
@@ -40,6 +43,7 @@ from .words import (
     commutator,
     conj_word,
     evaluate,
+    evaluate_stack,
     validate_certificate,
     x_word,
     z_word,
@@ -594,7 +598,16 @@ def levi_commutator_check(
     minus_side: bool = False,
 ) -> LeviReport:
     """Sample pairs (l, u) from the Levi and radical congruence pieces and
-    confirm each commutator lands in the radical at level I*J."""
+    confirm each commutator lands in the radical at level I*J.
+
+    The commutators are evaluated as one stack (``evaluate_stack``) and
+    peeled over the radical roots all at once
+    (``unipotent_coordinates_stack``).  A sample is clean when its peeled
+    residual is the identity and each of its coordinates lies in IJ.  Only
+    the other samples are drawn again from their seeds and go through the
+    scalar ``evaluate`` and ``unipotent_coordinates``, which write their
+    violation records.
+    """
     if ring.kind != "Zn":
         raise InfiniteRing("the sampled check needs a finite ring")
     if samples < 1:
@@ -611,8 +624,7 @@ def levi_commutator_check(
     def draw(rng, d):
         return ring.element(d * rng.randrange(n // d))
 
-    violations = []
-    for idx in range(samples):
+    def sample(idx: int) -> Word:
         rng = random.Random(seed * 1_000_003 + idx)
         l_letters = []
         for _ in range(rng.randint(0, 4)):
@@ -625,8 +637,18 @@ def levi_commutator_check(
             u_letters.extend(
                 x_word(rng.choice(radical), draw(rng, d_j)).letters
             )
-        l_w, u_w = Word(tuple(l_letters)), Word(tuple(u_letters))
-        mat = evaluate(commutator(l_w, u_w), rep, ring)
+        return commutator(Word(tuple(l_letters)), Word(tuple(u_letters)))
+
+    stack = evaluate_stack(map(sample, range(samples)), rep, ring)
+    stack_coords, peeled = unipotent_coordinates_stack(stack, rep, list(radical), n)
+    outside_ij = [
+        t for t in np.unique(stack_coords).tolist() if not ideal_ij.contains(ring.element(t))
+    ]
+    clean = peeled & ~np.isin(stack_coords, outside_ij).any(axis=1)
+
+    violations = []
+    for idx in np.flatnonzero(~clean).tolist():
+        mat = evaluate(sample(idx), rep, ring)
         try:
             coords = unipotent_coordinates(mat, list(radical))
         except PeelError:

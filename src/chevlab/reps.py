@@ -25,8 +25,16 @@ of entries per block (for G2, 2 or 5 of the 49 in the 7-block and 8 to 17
 of the 196 in the 14-block).  ``Representation.x`` adds the identity to
 N; ``GroupElement.times_x`` applies the letter to a running product M as
 the column operations M + M N, so a word builds only its first letter as
-a matrix.  Over Z/n letters are numpy matrices and ``times_x`` is the
-plain product.
+a matrix.
+
+Over Z/n letters are numpy matrices of residues, the identity with the
+index's entries N_ij mod n written in, and ``times_x`` is the plain
+product.  ``Representation.x_stack`` builds many letters at once from the
+same index as one (m, d, d) array per block; ``words.evaluate_stack``
+multiplies such stacks position by position, and
+``unipotent_coordinates_stack`` peels a stack root by root.  Each root's
+coordinate is read at its first entry +-1 of e^(1), which every root of
+A2, C2 and G2 has; the build refuses a root without one.
 """
 from __future__ import annotations
 
@@ -77,12 +85,23 @@ class Representation:
     symplectic_form: tuple | None = None
 
     def __post_init__(self) -> None:
-        # the sparse power index of the module docstring; a plain attribute,
-        # not a field, read by the exact letters and the peeling
-        object.__setattr__(self, "_sparse_powers", {
+        # the sparse power index of the module docstring and what is read
+        # off it; plain attributes, not fields
+        sparse = {
             root: tuple(_sparse_block(mats) for mats in zip(*power_blocks))
             for root, power_blocks in self.powers.items()
+        }
+        object.__setattr__(self, "_sparse_powers", sparse)
+        object.__setattr__(self, "_unit_entries", {
+            root: _unit_entry(root, blocks) for root, blocks in sparse.items()
         })
+        roots = self.system.roots
+        depth = max(len(p) for p in self.powers.values())
+        object.__setattr__(self, "_root_index", {root: k for k, root in enumerate(roots)})
+        object.__setattr__(self, "_stack_index", tuple(
+            _stack_block([sparse[root][b] for root in roots], depth)
+            for b in range(len(self.block_dims))
+        ))
 
     @property
     def dimension(self) -> int:
@@ -102,20 +121,20 @@ class Representation:
         if root.system != self.system.type_tag:
             raise RepresentationError(f"{root} does not belong to {self.name}")
         ring = coeff.ring
-        power_blocks = self.powers[root]
         if ring.kind == "Zn":
+            # the identity with N_ij = sum_k c^k v_k mod n written in
             n = ring.modulus
-            dtype = np.int64 if int64_safe(n, max(self.block_dims)) else object
-            c = coeff.payload
+            dtype = self.np_dtype(n)
+            cks, ck = [], 1
+            for _ in self.powers[root]:
+                ck = ck * coeff.payload % n
+                cks.append(ck)
             blocks = []
-            for b, d in enumerate(self.block_dims):
+            for d, block in zip(self.block_dims, self._sparse_powers[root]):
                 acc = np.eye(d, dtype=dtype)
-                ck = 1
-                for k, mats in enumerate(power_blocks, start=1):
-                    ck = (ck * c) % n
-                    if ck:
-                        acc = acc + ck * np.array(mats[b], dtype=dtype)
-                blocks.append(acc % n)
+                for i, j, vals in block:
+                    acc[i, j] = sum(c * v for c, v in zip(cks, vals)) % n
+                blocks.append(acc)
             return GroupElement(self, ring, "np", tuple(blocks))
         # N has a zero diagonal: a root vector moves each vector of the
         # weight bases here to another weight
@@ -152,9 +171,34 @@ class Representation:
             out.append(nil)
         return tuple(out)
 
-    def z(self, root: Root, xi: RingElement, eta: RingElement) -> "GroupElement":
-        """Conjugated generator x_{-a}(eta) x_a(xi) x_{-a}(-eta)."""
-        return self.x(-root, eta) * self.x(root, xi) * self.x(-root, -eta)
+    def np_dtype(self, n: int):
+        """The numpy dtype of this representation's matrices over Z/n: int64
+        where ``int64_safe`` allows it, else Python ints (object)."""
+        return np.int64 if int64_safe(n, max(self.block_dims)) else object
+
+    def x_stack(self, roots: np.ndarray, coeffs: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+        """The letters x_{roots[w]}(coeffs[w]) over Z/n, one (m, d, d) array
+        per block.  roots index ``system.roots``; coeffs are residues mod n.
+        Each letter is the identity with the entries of the sparse power
+        index written in, as in ``x``."""
+        dtype = self.np_dtype(n)
+        m = len(roots)
+        coeffs = np.asarray(coeffs, dtype=dtype)
+        cks = [coeffs % n]
+        for _ in range(1, self._stack_index[0][2].shape[2]):
+            cks.append(cks[-1] * coeffs % n)
+        cks = np.stack(cks, axis=1)
+        blocks = []
+        for d, (rows, cols, vals) in zip(self.block_dims, self._stack_index):
+            vals = vals[roots].astype(dtype, copy=False)
+            out = np.zeros((m, d, d), dtype=dtype)
+            # padded slots write 0 at (0, 0), which the diagonal then covers
+            out[np.arange(m)[:, None], rows[roots], cols[roots]] = (
+                (cks[:, None, :] * vals).sum(axis=2) % n
+            )
+            out[:, np.arange(d), np.arange(d)] = 1
+            blocks.append(out)
+        return tuple(blocks)
 
 
 class GroupElement:
@@ -288,6 +332,32 @@ def _sparse_block(mats: tuple) -> tuple:
         for j in range(dim)
         if any(vals := tuple(m[i][j] for m in mats))
     )
+
+
+def _unit_entry(root: Root, blocks: tuple) -> tuple[int, int, int, int]:
+    """(block, i, j, v): the first entry, block by block and row by row,
+    where e^(1) of the root is v = +-1.  The root's coordinate is read
+    there, exactly over any ring; every root of A2, C2 and G2 has one."""
+    for b, block in enumerate(blocks):
+        for i, j, vals in block:
+            if abs(vals[0]) == 1:
+                return b, i, j, vals[0]
+    raise RepresentationError(f"e_{root.name} has no entry +-1 to read its coordinate at")
+
+
+def _stack_block(per_root: list, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block's sparse power index as arrays indexed by root: rows and
+    columns (roots, slots) and values (roots, slots, depth), zero-padded to
+    the most entries of any root and to the deepest divided power."""
+    slots = max(len(entries) for entries in per_root)
+    rows = np.zeros((len(per_root), slots), dtype=np.intp)
+    cols = np.zeros_like(rows)
+    vals = np.zeros((len(per_root), slots, depth), dtype=np.int64)
+    for r, entries in enumerate(per_root):
+        for s, (i, j, v) in enumerate(entries):
+            rows[r, s], cols[r, s] = i, j
+            vals[r, s, : len(v)] = v
+    return rows, cols, vals
 
 
 def _mat(dim: int, entries: dict) -> tuple:
@@ -511,8 +581,8 @@ def reduce_mod(g: GroupElement, ideal: Ideal) -> GroupElement:
         return g
     if quot.kind == "Zn":
         n = quot.modulus
-        # the dtype Representation.x picks: residues past int64 stay Python ints
-        dtype = np.int64 if int64_safe(n, max(g.rep.block_dims)) else object
+        # residues past int64 stay Python ints
+        dtype = g.rep.np_dtype(n)
         if g.backend == "np":
             blocks = tuple((b % n).astype(dtype) for b in g.blocks)
         else:
@@ -577,10 +647,9 @@ def unipotent_coordinates(
     works).  Raises PeelError when g does not live in that product.
     """
     rep = g.rep
-    ring = g.ring
     residual = g
     coords = []
-    for idx, root in enumerate(roots_in_order):
+    for root in roots_in_order:
         t = _leading_coefficient(residual, root)
         coords.append((root, t))
         if not t.is_zero:
@@ -593,22 +662,32 @@ def unipotent_coordinates(
     return coords
 
 
+def unipotent_coordinates_stack(
+    stack: tuple[np.ndarray, ...], rep: Representation, roots_in_order: list[Root], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``unipotent_coordinates`` over Z/n for a stack of m elements, one
+    (m, d, d) array of residues per block.  Returns the (m, len(roots))
+    coordinates and, per element, whether the peeled residual is the
+    identity; where it is not, the scalar peel raises PeelError."""
+    m = len(stack[0])
+    residual = stack
+    coords = []
+    for root in roots_in_order:
+        b, i, j, v = rep._unit_entries[root]
+        t = residual[b][:, i, j] * v % n
+        coords.append(t)
+        letters = rep.x_stack(np.full(m, rep._root_index[root]), -t % n, n)
+        residual = tuple((x @ r) % n for x, r in zip(letters, residual))
+    identity = np.ones(m, dtype=bool)
+    for d, r in zip(rep.block_dims, residual):
+        identity &= (r == np.eye(d, dtype=np.int64)).all(axis=(1, 2))
+    return np.stack(coords, axis=1), identity
+
+
 def _leading_coefficient(g: GroupElement, root: Root) -> RingElement:
-    best = None
-    for b, block in enumerate(g.rep._sparse_powers[root]):
-        for i, j, vals in block:
-            v = vals[0]
-            if v == 0:
-                continue
-            t = g.entry(b, i, j).divide_int(v)
-            if t is not None:
-                if abs(v) == 1:
-                    return t
-                if best is None:
-                    best = t
-    if best is None:
-        raise PeelError(f"cannot read the {root.name} coordinate")
-    return best
+    """The root's coordinate of g, read at its unit entry of e^(1)."""
+    b, i, j, v = g.rep._unit_entries[root]
+    return g.entry(b, i, j).divide_int(v)
 
 
 # ---------------------------------------------------------------------------

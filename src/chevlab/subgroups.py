@@ -93,10 +93,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorize import condition_star, relative_generators
-from .reps import Representation, get_representation, int64_safe
+from .reps import Representation, RepresentationError, get_representation, int64_safe
 from .rings import Ideal, InfiniteRing, Ring, enumerate_elements
 from .roots import get_system
-from .words import Word, word_to_sexpr, x_word, evaluate
+from .words import Word, evaluate_stack, word_to_sexpr, x_word
 
 
 class EnumerationError(Exception):
@@ -125,7 +125,9 @@ def _word_matrices(words: list[Word], rep: Representation, ring: Ring) -> np.nda
     if not words:
         dim = rep.block_dims[0]
         return np.eye(dim, dtype=np.int64)[None, :, :]
-    mats = np.stack([evaluate(w, rep, ring).np_single() for w in words])
+    if len(rep.block_dims) != 1:
+        raise RepresentationError(f"word matrices need a one-block representation, not {rep.name}")
+    (mats,) = evaluate_stack(words, rep, ring)
     return _unique_rows(mats, ring.modulus)
 
 

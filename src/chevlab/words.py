@@ -3,9 +3,11 @@ certificates.
 
 Words store symbols, never matrices, so one factorization can be evaluated
 over many coefficient rings.  A word evaluates as one flat product of its
-elementary letters, with z symbols and conjugates expanded in place.
-Evaluations are not cached; a certificate check whose predicted word is
-the certified word itself skips both evaluations.
+elementary letters, with z symbols and conjugates expanded in place.  Over
+Z/n, ``evaluate_stack`` evaluates many words together: the k-th letters of
+all of them are applied as one batched numpy product.  Evaluations are not
+cached; a certificate check whose predicted word is the certified word
+itself skips both evaluations.
 
 Certificates are small proof trees whose leaves are checkable by ideal
 membership and congruence tests; the composite tags lean on the licensing
@@ -15,10 +17,21 @@ A level leaf must therefore name an ideal inside IJ.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .reps import GroupElement, Representation, congruence_level_test
-from .rings import Ideal, MixedRings, Ring, RingElement, element_to_string, parse_element
+import numpy as np
+
+from .reps import GroupElement, Representation, RepresentationError, congruence_level_test
+from .rings import (
+    Ideal,
+    InfiniteRing,
+    MixedRings,
+    Ring,
+    RingElement,
+    element_to_string,
+    parse_element,
+)
 from .roots import Root, RootSystem, parse_root, root_name
 
 
@@ -194,6 +207,44 @@ def evaluate(word: Word, rep: Representation, ring: Ring) -> GroupElement:
             out = out.times_x(sym.root, sym.coeff)
     if out is None:
         out = rep.identity(ring)
+    return out
+
+
+def evaluate_stack(words: Iterable[Word], rep: Representation, ring: Ring) -> tuple[np.ndarray, ...]:
+    """The values of many words over Z/n at once, one (len(words), d, d)
+    array of residues per block.
+
+    Each word is read into the root indices and coefficients of its
+    elementary letters as the iterable yields it, so the words need not be
+    held together.  Position k of every word is then applied at once, one
+    batched product per block; a word shorter than the longest is padded
+    with x(0) = 1.
+    """
+    if ring.kind != "Zn":
+        raise InfiniteRing(f"stacked evaluation needs a ring Z/n, not {ring}")
+    index = rep._root_index
+    # all letters in one flat run, word w's ending at ends[w]
+    roots, coeffs, ends = [], [], []
+    for word in words:
+        for sym in _elementary(word.letters, ring):
+            if sym.root not in index:
+                raise RepresentationError(f"{sym.root} does not belong to {rep.name}")
+            roots.append(index[sym.root])
+            coeffs.append(sym.coeff.payload)
+        ends.append(len(roots))
+    n, dtype = ring.modulus, rep.np_dtype(ring.modulus)
+    ends = np.array(ends, dtype=np.intp)
+    lengths = np.diff(ends, prepend=0)
+    owner = np.repeat(np.arange(len(ends)), lengths)
+    position = np.arange(len(roots)) - np.repeat(ends - lengths, lengths)
+    root_table = np.zeros((len(ends), lengths.max(initial=0)), dtype=np.intp)
+    coeff_table = np.zeros(root_table.shape, dtype=dtype)
+    root_table[owner, position] = roots
+    coeff_table[owner, position] = coeffs
+    out = tuple(np.tile(np.eye(d, dtype=dtype), (len(ends), 1, 1)) for d in rep.block_dims)
+    for k in range(root_table.shape[1]):
+        letters = rep.x_stack(root_table[:, k], coeff_table[:, k], n)
+        out = tuple((a @ b) % n for a, b in zip(out, letters))
     return out
 
 

@@ -168,6 +168,22 @@ def test_g2_identity_report_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_G2_IDENTITY_SHA256
 
 
+# Levi sampling at the size of the benchmark's tasks, over C2 and both
+# blocks of G2, pinned the same way.
+PINNED_LEVI_TASKS = [
+    {"command": "verify-levi", "params": {"type": "C2", "ring": "Z/27", "ideal_i": "3", "ideal_j": "3", "samples": 300}},
+    {"command": "verify-levi", "params": {"type": "G2", "ring": "Z/9", "ideal_i": "3", "ideal_j": "3", "samples": 300}},
+]
+PINNED_LEVI_SHA256 = "db3b95954f450c859b872f5fd5efacc043401492948fd40e1e911bc5ae3db3e3"
+
+
+def test_levi_report_pinned():
+    report = run_campaign(PINNED_LEVI_TASKS, seed=1, with_timings=False)
+    assert [entry["status"] for entry in report["tasks"]] == ["ok"] * len(PINNED_LEVI_TASKS)
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_LEVI_SHA256
+
+
 def test_bound_exceeded_is_an_error_result():
     from chevlab import cli
 

@@ -23,6 +23,7 @@ from chevlab.reps import get_representation
 from chevlab.rings import Ideal, Ring, enumerate_elements
 from chevlab.roots import MainLemmaCase, get_system
 from chevlab.subgroups import BoundExceeded
+from levi_oracle import levi_check_by_samples
 from chevlab.words import (
     LICENSED_TAGS,
     ConjSym,
@@ -300,6 +301,67 @@ def test_levi_check_c2_z27_sample():
     p = ParabolicData.for_simple(get_system("C2"), 1)
     rep = levi_commutator_check(p, ideal, ideal, ring, 100, seed=2)
     assert rep.passed
+
+
+# (system, modulus, I, J): int64 stacks, and object stacks past the int64
+# rule (C2 over Z/3e9; the 14-block of G2 over Z/(1e9+7))
+LEVI_CASES = [
+    ("A2", 8, 2, 2),
+    ("A2", 12, 2, 3),
+    ("A2", 1_000_000_007, 1, 1),
+    ("C2", 27, 3, 3),
+    ("C2", 12, 6, 2),
+    ("C2", 1_000_000_007, 1, 1),
+    ("C2", 3_000_000_000, 3, 10),
+    ("G2", 9, 1, 3),
+    ("G2", 1_000_000_007, 1, 1),
+]
+
+
+def _levi_reports(check, tag, n, i, j, samples, parabolic=lambda p: p):
+    ring = Ring.mod(n)
+    ideal_i, ideal_j = Ideal.of(ring, [i]), Ideal.of(ring, [j])
+    return [
+        check(
+            parabolic(ParabolicData.for_simple(get_system(tag), r)),
+            ideal_i, ideal_j, ring, samples, seed=7, minus_side=minus,
+        )
+        for r in (1, 2)
+        for minus in (False, True)
+    ]
+
+
+@pytest.mark.parametrize("tag, n, i, j", LEVI_CASES, ids=[f"{c[0]}-Z{c[1]}" for c in LEVI_CASES])
+def test_stacked_levi_check_matches_sample_oracle(tag, n, i, j):
+    samples = 12 if tag == "G2" else 40
+    reports = _levi_reports(levi_commutator_check, tag, n, i, j, samples)
+    assert reports == _levi_reports(levi_check_by_samples, tag, n, i, j, samples)
+    assert all(report.passed for report in reports)
+
+
+@pytest.mark.parametrize("tag, n, i, j", [LEVI_CASES[0], LEVI_CASES[3], LEVI_CASES[6], LEVI_CASES[7]])
+def test_stacked_levi_records_match_oracle_outside_the_radical(tag, n, i, j):
+    # a radical without its first root: samples with that coordinate do not peel
+    def drop_first(p):
+        return replace(p, U_roots=p.U_roots[1:], U_minus_roots=p.U_minus_roots[1:])
+
+    samples = 12 if tag == "G2" else 40
+    reports = _levi_reports(levi_commutator_check, tag, n, i, j, samples, drop_first)
+    assert reports == _levi_reports(levi_check_by_samples, tag, n, i, j, samples, drop_first)
+    records = [v for report in reports for v in report.violations]
+    assert records and all(v["reason"] == "outside the radical" for v in records)
+    assert all(len(report.violations) < samples for report in reports)
+
+
+@pytest.mark.parametrize("tag, n, i, j", [LEVI_CASES[0], LEVI_CASES[3], LEVI_CASES[6], LEVI_CASES[7]])
+def test_stacked_levi_records_match_oracle_outside_ij(tag, n, i, j, monkeypatch):
+    # IJ taken as the zero ideal: every nonzero coordinate is a violation
+    monkeypatch.setattr(Ideal, "product", lambda self, other: Ideal.of(self.ring, [0]))
+    samples = 12 if tag == "G2" else 40
+    reports = _levi_reports(levi_commutator_check, tag, n, i, j, samples)
+    assert reports == _levi_reports(levi_check_by_samples, tag, n, i, j, samples)
+    records = [v for report in reports for v in report.violations]
+    assert records and all(set(v) == {"sample", "root", "coefficient"} for v in records)
 
 
 def test_levi_check_never_lists_ideal_elements(monkeypatch):

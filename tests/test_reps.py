@@ -12,17 +12,20 @@ from chevlab.reps import (
     RepresentationError,
     _divided_powers,
     _mat,
+    _unit_entry,
     congruence_level_test,
     get_representation,
     int64_safe,
     reduce_mod,
     unipotent_coordinates,
+    unipotent_coordinates_stack,
     verify_steinberg,
 )
 from chevlab.rings import MAX_EXPONENT, DegreeOverflow, Ideal, MixedRings, Ring, enumerate_elements
-from chevlab.words import Word, XSym, evaluate, x_word
+from chevlab.words import Word, XSym, evaluate, evaluate_stack, x_word
 from letters_oracle import dense_x, times_x_by_product
 from reps_oracle import oracle_representation
+from words_oracle import z_matrix
 
 
 Z8 = Ring.mod(8)
@@ -100,10 +103,10 @@ def test_z_generator_identities():
     ring = Ring.polynomial(Ring.integers(), ("xi", "eta"))
     xi, eta = ring.vars()
     root = rep.system.root((0, 1))
-    assert rep.z(root, xi, ring.zero) == rep.x(root, xi)
-    assert rep.z(root, ring.zero, eta).is_identity
+    assert z_matrix(rep, root, xi, ring.zero) == rep.x(root, xi)
+    assert z_matrix(rep, root, ring.zero, eta).is_identity
     # z lies in the level-(xi) congruence subgroup
-    assert congruence_level_test(rep.z(root, xi, eta), Ideal.of(ring, [xi]))
+    assert congruence_level_test(z_matrix(rep, root, xi, eta), Ideal.of(ring, [xi]))
 
 
 def test_reduce_mod_examples():
@@ -202,6 +205,40 @@ def test_unipotent_coordinates_rejects_outsiders():
     g = rep.x(system.root((0, 1)), Z8.element(1))
     with pytest.raises(PeelError):
         unipotent_coordinates(g, [system.root((1, 0))])
+
+
+@pytest.mark.parametrize("tag", ["A2", "C2", "G2"])
+def test_every_root_has_a_unit_entry(tag):
+    # the coordinate of each root is read at its first entry +-1 of e^(1)
+    rep = get_representation(tag)
+    for root in rep.system.roots:
+        b, i, j, v = rep._unit_entries[root]
+        assert rep.powers[root][0][b][i][j] == v in (1, -1)
+    root = rep.system.roots[0]
+    with pytest.raises(RepresentationError, match="no entry"):
+        _unit_entry(root, (((0, 1, (2,)), (1, 2, (0, 1))),))
+
+
+def test_unipotent_coordinates_stack_matches_scalar_peel():
+    rep = get_representation("C2")
+    rng = random.Random(5)
+    roots = list(rep.system.positive_roots)
+    # elements of the positive unipotent subgroup, and some outside it
+    words = [
+        Word(tuple(XSym(rng.choice(roots), Z27.element(rng.randrange(27))) for _ in range(rng.randint(0, 6))))
+        for _ in range(30)
+    ] + [x_word(-roots[0], Z27.element(3)), x_word(-roots[1], Z27.one)]
+    order = sorted(roots, key=lambda r: (sum(r.coords), r.coords))
+    stack = evaluate_stack(words, rep, Z27)
+    coords, peeled = unipotent_coordinates_stack(stack, rep, order, 27)
+    for w, word in enumerate(words):
+        try:
+            expect = [t.payload for _, t in unipotent_coordinates(evaluate(word, rep, Z27), order)]
+        except PeelError:
+            assert not peeled[w]
+            continue
+        assert peeled[w] and coords[w].tolist() == expect
+    assert not peeled[-2:].any() and peeled[:-2].all()
 
 
 def _exact_mul(a: list, b: list, n: int) -> list:

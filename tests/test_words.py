@@ -3,8 +3,8 @@ import random
 import pytest
 
 from chevlab.factorize import main_lemma_word
-from chevlab.reps import congruence_level_test, get_representation
-from chevlab.rings import Ideal, MixedRings, Ring
+from chevlab.reps import GroupElement, congruence_level_test, get_representation
+from chevlab.rings import Ideal, InfiniteRing, MixedRings, Ring
 from chevlab.roots import MainLemmaCase
 from chevlab.words import (
     ConjSym,
@@ -17,6 +17,7 @@ from chevlab.words import (
     commutator,
     conj_word,
     evaluate,
+    evaluate_stack,
     parse_word,
     validate_certificate,
     word_to_sexpr,
@@ -290,3 +291,50 @@ def test_flat_evaluation_checks_the_ring():
     ):
         with pytest.raises(MixedRings):
             evaluate(word, A2, Z8)
+
+
+# C2 over Z/3e9 is past the int64 rule: its stacks hold Python ints
+@pytest.mark.parametrize(
+    "rep, ring",
+    [
+        (A2, Z8), (A2, Ring.mod(27)), (A2, Ring.mod(3_000_000_000)),
+        (C2, Z8), (C2, Ring.mod(27)), (C2, Ring.mod(3_000_000_000)),
+        (G2, Ring.mod(9)),
+    ],
+    ids=["A2-Z8", "A2-Z27", "A2-Z3e9", "C2-Z8", "C2-Z27", "C2-Z3e9", "G2-Z9"],
+)
+def test_evaluate_stack_matches_scalar_and_symbol_oracle(rep, ring):
+    rng = random.Random(12)
+    words = [_random_word(rng, rep, ring) for _ in range(10 if rep is G2 else 20)]
+    assert any(_has_nested_conjugate(w) for w in words)
+    assert any(isinstance(sym, ZSym) for w in words for sym in _symbols(w))
+    # mixed lengths in one stack, empty words at either end and inside
+    words = [Word(())] + words[:5] + [Word(()), words[5] * words[6] * words[7]] + words[8:] + [Word(())]
+    stack = evaluate_stack(iter(words), rep, ring)
+    assert len(stack) == len(rep.block_dims)
+    assert [block.shape for block in stack] == [(len(words), d, d) for d in rep.block_dims]
+    for w, word in enumerate(words):
+        value = GroupElement(rep, ring, "np", tuple(block[w] for block in stack))
+        assert value == evaluate(word, rep, ring) == evaluate_by_symbols(word, rep, ring)
+    assert all(block.max() < ring.modulus and block.min() >= 0 for block in stack)
+    assert [block.shape for block in evaluate_stack([], rep, ring)] == [(0, d, d) for d in rep.block_dims]
+    (only,) = zip(*evaluate_stack([Word(())], rep, ring))
+    assert GroupElement(rep, ring, "np", only).is_identity
+
+
+def test_evaluate_stack_checks_the_ring():
+    root = A2.system.root((1, 0))
+    z27 = Ring.mod(27)
+    good = x_word(root, Z8.one)
+    for word in (
+        x_word(root, z27.one),
+        z_word(root, Z8.one, z27.one),
+        conj_word(x_word(root, Z8.one), x_word(-root, z27.one)),
+    ):
+        with pytest.raises(MixedRings):
+            evaluate_stack([good, word], A2, Z8)
+    xi, _ = ZXZ.vars()
+    with pytest.raises(InfiniteRing):
+        evaluate_stack([x_word(root, xi)], A2, ZXZ)
+    with pytest.raises(InfiniteRing):
+        evaluate_stack([x_word(root, Ring.integers().one)], A2, Ring.integers())
