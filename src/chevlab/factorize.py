@@ -602,11 +602,9 @@ def levi_commutator_check(
 
     The commutators are evaluated as one stack (``evaluate_stack``) and
     peeled over the radical roots all at once
-    (``unipotent_coordinates_stack``).  A sample is clean when its peeled
-    residual is the identity and each of its coordinates lies in IJ.  Only
-    the other samples are drawn again from their seeds and go through the
-    scalar ``evaluate`` and ``unipotent_coordinates``, which write their
-    violation records.
+    (``unipotent_coordinates_stack``).  A sample whose peeled residual is
+    not the identity is recorded as outside the radical; otherwise each of
+    its coordinates outside IJ is recorded with its root.
     """
     if ring.kind != "Zn":
         raise InfiniteRing("the sampled check needs a finite ring")
@@ -641,23 +639,20 @@ def levi_commutator_check(
 
     stack = evaluate_stack(map(sample, range(samples)), rep, ring)
     stack_coords, peeled = unipotent_coordinates_stack(stack, rep, list(radical), n)
-    outside_ij = [
+    outside_ij = {
         t for t in np.unique(stack_coords).tolist() if not ideal_ij.contains(ring.element(t))
-    ]
-    clean = peeled & ~np.isin(stack_coords, outside_ij).any(axis=1)
+    }
+    clean = peeled & ~np.isin(stack_coords, list(outside_ij)).any(axis=1)
 
     violations = []
     for idx in np.flatnonzero(~clean).tolist():
-        mat = evaluate(sample(idx), rep, ring)
-        try:
-            coords = unipotent_coordinates(mat, list(radical))
-        except PeelError:
+        if not peeled[idx]:
             violations.append({"sample": idx, "reason": "outside the radical"})
             continue
-        for root, c in coords:
-            if not ideal_ij.contains(c):
+        for root, t in zip(radical, stack_coords[idx].tolist()):
+            if t in outside_ij:
                 violations.append(
-                    {"sample": idx, "root": root.name, "coefficient": str(c)}
+                    {"sample": idx, "root": root.name, "coefficient": str(ring.element(t))}
                 )
     return LeviReport(
         parabolic.system.type_tag, parabolic.r, minus_side, samples, violations, seed

@@ -122,7 +122,8 @@ class Representation:
             raise RepresentationError(f"{root} does not belong to {self.name}")
         ring = coeff.ring
         if ring.kind == "Zn":
-            # the identity with N_ij = sum_k c^k v_k mod n written in
+            # the identity with N_ij = sum_k c^k v_k mod n written in; a
+            # one-letter x_stack does the same at about 4x the cost a call
             n = ring.modulus
             dtype = self.np_dtype(n)
             cks, ck = [], 1
