@@ -22,7 +22,6 @@ from .reps import (
     Representation,
     congruence_level_test,
     get_representation,
-    reduce_mod,
     verify_steinberg,
 )
 from .constants import (

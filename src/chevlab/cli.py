@@ -32,18 +32,19 @@ from .words import certificate_to_json, evaluate, word_to_sexpr
 
 SYSTEMS = ("A2", "C2", "G2")
 STATEMENTS = ("T1", "T2", "T3", "O1", "O2")
-# the task parameters each command reads; a campaign may also set seed
+# the task parameters each command needs, then those it may also read
+# (verify-long-root over a ring needs its ideal); a campaign may set seed
 PARAMS = {
-    "verify-steinberg": ("type",),
-    "verify-chevalley": ("type",),
-    "verify-main-lemma": ("case", "ring", "ideal", "ideal_i", "ideal_j"),
-    "verify-long-root": ("type", "ring", "ideal"),
-    "verify-levi": ("type", "ring", "ideal_i", "ideal_j", "samples"),
-    "bruteforce": ("stmt", "type", "ring", "ideal_i", "ideal_j", "bound"),
-    "dump-constants": ("type",),
-    "dump-generators": ("type", "ring"),
-    "factorize-main-lemma": ("case",),
-    "factorize-long-root": ("type", "ring", "ideal"),
+    "verify-steinberg": (("type",), ()),
+    "verify-chevalley": (("type",), ()),
+    "verify-main-lemma": (("case",), ("ring", "ideal", "ideal_i", "ideal_j")),
+    "verify-long-root": (("type",), ("ring", "ideal")),
+    "verify-levi": (("type", "ring", "ideal_i", "ideal_j"), ("samples",)),
+    "bruteforce": (("stmt", "type", "ring", "ideal_i"), ("ideal_j", "bound")),
+    "dump-constants": (("type",), ()),
+    "dump-generators": (("type", "ring"), ()),
+    "factorize-main-lemma": (("case",), ()),
+    "factorize-long-root": (("type", "ring", "ideal"), ()),
 }
 
 
@@ -340,14 +341,14 @@ def _listed_elements(command: str, params: dict, ring: Ring) -> int:
     def size(ideal: Ideal) -> int:
         return n // ideal.gens[0]
 
-    tag = params.get("type")
     if command == "verify-main-lemma":
         ideal_i, ideal_j = _main_lemma_ideals(ring, params)
         return size(ideal_i) * size(ideal_j) * n
-    if command == "dump-generators" and tag:
-        return len(get_system(tag).roots) * n
-    if command in ("verify-long-root", "factorize-long-root") and tag and params.get("ideal"):
-        return len(get_system(tag).short_roots) * size(parse_ideal(ring, str(params["ideal"])))
+    if command == "dump-generators":
+        return len(get_system(params["type"]).roots) * n
+    if command in ("verify-long-root", "factorize-long-root"):
+        ideal = parse_ideal(ring, str(params["ideal"]))
+        return len(get_system(params["type"]).short_roots) * size(ideal)
     return 0
 
 
@@ -355,9 +356,15 @@ def validate_task(command: str, params: dict) -> None:
     """Cheap validation of a task before anything runs."""
     if command not in TASKS:
         raise TaskError(f"unknown command {command!r}")
-    unknown = sorted(set(params) - {*PARAMS[command], "seed"})
+    required, optional = PARAMS[command]
+    unknown = sorted(set(params) - {*required, *optional, "seed"})
     if unknown:
         raise TaskError(f"{command} takes no parameter {', '.join(map(repr, unknown))}")
+    if command == "verify-long-root" and params.get("ring"):
+        required += ("ideal",)
+    missing = [key for key in required if params.get(key) is None]
+    if missing:
+        raise TaskError(f"{command} needs parameter {', '.join(map(repr, missing))}")
     if "samples" in params:
         try:
             samples = int(params["samples"])
@@ -389,8 +396,6 @@ def validate_task(command: str, params: dict) -> None:
             raise TaskError(f"bruteforce needs --stmt from {STATEMENTS}")
         if params.get("type") == "G2":
             raise TaskError("bruteforce does not support G2 (out of desk scale)")
-        if "ring" not in params:
-            raise TaskError("bruteforce needs --ring")
 
 
 def run_campaign(tasks: list[dict], seed: int, with_timings: bool) -> dict:
@@ -527,7 +532,7 @@ def _args_to_task(args: argparse.Namespace) -> dict:
     if command in ("verify", "factorize"):
         command = f"{command}-{args.what}"
     params = {}
-    for key in sorted(set().union(*PARAMS.values())):
+    for key in sorted(set().union(*(a + b for a, b in PARAMS.values()))):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val

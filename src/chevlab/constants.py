@@ -1,11 +1,12 @@
 """Structure constants of the commutator formula, derived from the matrices.
 
 For each ordered non-opposite pair (a, b) the symbolic matrix commutator
-[x_a(xi), x_b(zeta)] over Z[xi, zeta] is peeled against the product of root
-subgroups x_{ia+jb} taken in a fixed order (increasing i+j, ties broken by
-the root's coordinates).  The extracted coefficients must be integer
-multiples of xi^i zeta^j exactly; anything else means the representation is
-broken and raises.
+[x_a(xi), x_b(zeta)] over Z[xi, zeta] is peeled by
+``reps.unipotent_coordinates`` against the product of root subgroups
+x_{ia+jb} taken in a fixed order (increasing i+j, ties broken by the root's
+coordinates).  The extracted coefficients must be integer multiples of
+xi^i zeta^j exactly; anything else means the representation is broken and
+raises.
 
 Constants are computed, not copied from tables, so the signs are whatever
 the fixed matrices dictate; ``normalize_signs`` then produces the
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .reps import Representation, _leading_coefficient, get_representation
+from .reps import PeelError, Representation, get_representation, unipotent_coordinates
 from .rings import Ring, RingElement
 from .roots import MainLemmaCase, OppositeRoots, Root, canonical_case_root
 
@@ -82,9 +83,14 @@ def compute_table(rep: Representation) -> StructureConstantTable:
                 continue
             cone = cone_roots(alpha, beta)
             target = x_alpha.times_x(beta, zeta).times_x(alpha, -xi).times_x(beta, -zeta)
-            residual = target
-            for i, j, root in cone:
-                coeff = _leading_coefficient(residual, root)
+            try:
+                coords = unipotent_coordinates(target, [root for _, _, root in cone])
+            except PeelError as exc:
+                raise ExtractionFailure(
+                    f"{rep.name}: [x_{alpha.name}, x_{beta.name}] does not "
+                    "factor through its root cone"
+                ) from exc
+            for (i, j, root), (_, coeff) in zip(cone, coords):
                 n = _as_integer_multiple(coeff, i, j)
                 if n is None:
                     raise ExtractionFailure(
@@ -97,12 +103,6 @@ def compute_table(rep: Representation) -> StructureConstantTable:
                         f"({alpha.name}, {beta.name}, {i}, {j})"
                     )
                 entries[(alpha, beta, i, j)] = n
-                residual = rep.x(root, -coeff) * residual
-            if not residual.is_identity:
-                raise ExtractionFailure(
-                    f"{rep.name}: [x_{alpha.name}, x_{beta.name}] does not "
-                    "factor through its root cone"
-                )
     return StructureConstantTable(rep.name, rep.system.type_tag, entries)
 
 

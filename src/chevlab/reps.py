@@ -29,12 +29,19 @@ a matrix.
 
 Over Z/n letters are numpy matrices of residues, the identity with the
 index's entries N_ij mod n written in, and ``times_x`` is the plain
-product.  ``Representation.x_stack`` builds many letters at once from the
-same index as one (m, d, d) array per block; ``words.evaluate_stack``
-multiplies such stacks position by position, and
-``unipotent_coordinates_stack`` peels a stack root by root.  Each root's
-coordinate is read at its first entry +-1 of e^(1), which every root of
-A2, C2 and G2 has; the build refuses a root without one.
+product.  Every such matrix has the dtype of ``Representation.np_dtype``:
+int64 while it holds a product of two residue matrices, Python ints
+(object) past that, so one product ``(a @ b) % n`` serves every modulus.
+``Representation.x_stack`` builds many letters at once from the same index
+as one (m, d, d) array per block; ``words.evaluate_stack`` multiplies such
+stacks position by position.
+
+``unipotent_coordinates`` peels an element root by root, and
+``unipotent_coordinates_stack`` a stack of them.  Each root's coordinate is
+read at its first entry v = +-1 of e^(1), as v times that entry, which
+every root of A2, C2 and G2 has; the build refuses a root without one.
+Membership in a congruence subgroup is tested entrywise against the ideal
+(``congruence_level_test``); no element is ever reduced to a quotient ring.
 """
 from __future__ import annotations
 
@@ -44,21 +51,8 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import ExactMatrix
-from .rings import (
-    Ideal,
-    MixedRings,
-    Ring,
-    RingElement,
-    ring_quotient,
-)
+from .rings import Ideal, MixedRings, Ring, RingElement
 from .roots import Root, RootSystem, get_system
-
-
-def int64_safe(n: int, dim: int) -> bool:
-    """Whether int64 holds every entry of a product of two dim x dim
-    matrices of residues mod n, which is at most dim (n - 1)^2.  Past that
-    the numpy backend computes with Python ints (dtype object)."""
-    return dim * (n - 1) ** 2 < 1 << 63
 
 
 class RepresentationError(Exception):
@@ -103,15 +97,10 @@ class Representation:
             for b in range(len(self.block_dims))
         ))
 
-    @property
-    def dimension(self) -> int:
-        return sum(self.block_dims)
-
     def identity(self, ring: Ring) -> "GroupElement":
         if ring.kind == "Zn":
-            blocks = tuple(
-                np.eye(d, dtype=np.int64) for d in self.block_dims
-            )
+            dtype = self.np_dtype(ring.modulus)
+            blocks = tuple(np.eye(d, dtype=dtype) for d in self.block_dims)
             return GroupElement(self, ring, "np", blocks)
         blocks = tuple(ExactMatrix.identity(ring, d) for d in self.block_dims)
         return GroupElement(self, ring, "exact", blocks)
@@ -174,8 +163,10 @@ class Representation:
 
     def np_dtype(self, n: int):
         """The numpy dtype of this representation's matrices over Z/n: int64
-        where ``int64_safe`` allows it, else Python ints (object)."""
-        return np.int64 if int64_safe(n, max(self.block_dims)) else object
+        when it holds every entry of a product of two residue matrices, at
+        most d (n - 1)^2 for the largest block dimension d, else Python ints
+        (object).  Letters, identities and stacks are all built in it."""
+        return np.int64 if max(self.block_dims) * (n - 1) ** 2 < 1 << 63 else object
 
     def x_stack(self, roots: np.ndarray, coeffs: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
         """The letters x_{roots[w]}(coeffs[w]) over Z/n, one (m, d, d) array
@@ -244,13 +235,7 @@ class GroupElement:
             raise MixedRings(f"{other.ring} vs {self.ring}")
         if self.backend == "np":
             n = self.ring.modulus
-            if int64_safe(n, max(self.rep.block_dims)):
-                blocks = tuple((a @ b) % n for a, b in zip(self.blocks, other.blocks))
-            else:
-                blocks = tuple(
-                    (a.astype(object) @ b.astype(object)) % n
-                    for a, b in zip(self.blocks, other.blocks)
-                )
+            blocks = tuple((a @ b) % n for a, b in zip(self.blocks, other.blocks))
             return GroupElement(self.rep, self.ring, "np", blocks)
         blocks = tuple(a * b for a, b in zip(self.blocks, other.blocks))
         return GroupElement(self.rep, self.ring, "exact", blocks)
@@ -296,27 +281,6 @@ class GroupElement:
         if self.backend == "np":
             return self.ring.element(int(self.blocks[block][i, j]))
         return self.blocks[block].entry(i, j)
-
-    def matrix(self) -> list[list[RingElement]]:
-        """Full block-diagonal matrix as nested ring elements."""
-        dim = self.rep.dimension
-        zero = self.ring.zero
-        out = [[zero] * dim for _ in range(dim)]
-        off = 0
-        for b, d in enumerate(self.rep.block_dims):
-            for i in range(d):
-                for j in range(d):
-                    v = self.entry(b, i, j)
-                    if not v.is_zero:
-                        out[off + i][off + j] = v
-            off += d
-        return out
-
-    def np_single(self) -> np.ndarray:
-        """The (single) block as a numpy array; finite rings, rank-1 block."""
-        if self.backend != "np" or len(self.blocks) != 1:
-            raise RepresentationError("np_single needs a one-block modular element")
-        return self.blocks[0]
 
 
 # ---------------------------------------------------------------------------
@@ -570,41 +534,7 @@ def _build_g2() -> Representation:
 
 
 # ---------------------------------------------------------------------------
-# congruence and centrality tests
-
-
-def reduce_mod(g: GroupElement, ideal: Ideal) -> GroupElement:
-    """Entrywise reduction of a group element modulo an ideal."""
-    if ideal.ring != g.ring:
-        raise MixedRings(f"{ideal.ring} vs {g.ring}")
-    quot, reduce_elem = ring_quotient(g.ring, ideal)
-    if quot == g.ring:
-        return g
-    if quot.kind == "Zn":
-        n = quot.modulus
-        # residues past int64 stay Python ints
-        dtype = g.rep.np_dtype(n)
-        if g.backend == "np":
-            blocks = tuple((b % n).astype(dtype) for b in g.blocks)
-        else:
-            blocks = tuple(
-                np.array(
-                    [[reduce_elem(g.entry(b, i, j)).payload for j in range(d)] for i in range(d)],
-                    dtype=dtype,
-                ) % n
-                for b, d in enumerate(g.rep.block_dims)
-            )
-        return GroupElement(g.rep, quot, "np", blocks)
-    blocks = []
-    for b, d in enumerate(g.rep.block_dims):
-        entries = {}
-        for i in range(d):
-            for j in range(d):
-                v = reduce_elem(g.entry(b, i, j))
-                if not v.is_zero:
-                    entries[(i, j)] = v
-        blocks.append(ExactMatrix.build(quot, d, entries))
-    return GroupElement(g.rep, quot, "exact", tuple(blocks))
+# congruence test
 
 
 def congruence_level_test(g: GroupElement, ideal: Ideal) -> bool:
@@ -688,7 +618,8 @@ def unipotent_coordinates_stack(
 def _leading_coefficient(g: GroupElement, root: Root) -> RingElement:
     """The root's coordinate of g, read at its unit entry of e^(1)."""
     b, i, j, v = g.rep._unit_entries[root]
-    return g.entry(b, i, j).divide_int(v)
+    t = g.entry(b, i, j)
+    return t if v == 1 else -t
 
 
 # ---------------------------------------------------------------------------

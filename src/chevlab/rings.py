@@ -62,10 +62,6 @@ class UnsupportedIdealShape(RingError):
     """Ideal generators outside the supported term shape."""
 
 
-class UnrepresentableQuotient(RingError):
-    """Quotient ring cannot be represented."""
-
-
 class ParseError(RingError):
     """Malformed ring / element / ideal specification string."""
 
@@ -345,21 +341,6 @@ class RingElement:
             out = out * self
         return out
 
-    def divide_int(self, k: int) -> "RingElement | None":
-        """Exact division by a nonzero integer; None if not divisible."""
-        r = self.ring
-        if k in (1, -1):
-            return self if k == 1 else -self
-        if r.kind != "poly":
-            t = _divide_coefficient(self.payload, k, r._cmod)
-            return None if t is None else RingElement(r, t)
-        d = {}
-        for m, c in self.payload.items():
-            if (t := _divide_coefficient(c, k, r._cmod)) is None:
-                return None
-            d[m] = t
-        return r._poly(d)
-
     # -- display -------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -367,17 +348,6 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"<{self.ring}: {element_to_string(self)}>"
-
-
-def _divide_coefficient(c: int, k: int, n: int) -> int | None:
-    """A t with k*t = c mod n, or None: c // k over Z (n = 0), and over Z/n
-    the solution in [0, n/g), g = gcd(k, n), which is the least in [0, n)."""
-    if not n:
-        return None if c % k else c // k
-    g = math.gcd(k, n)
-    if c % g:
-        return None
-    return (c // g) * pow(k // g, -1, n // g) % (n // g)
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +418,6 @@ class Ideal:
             for b in other.generator_elements()
         ]
         return Ideal.of(self.ring, pairs)
-
-    @property
-    def is_zero(self) -> bool:
-        r = self.ring
-        if r.kind == "poly":
-            return not self.gens
-        g, n = self.gens[0], r._cmod
-        return (g % n if n else g) == 0
 
     def generator_elements(self) -> list[RingElement]:
         r = self.ring
@@ -535,59 +497,6 @@ def enumerate_elements(ring: Ring) -> Iterator[RingElement]:
         raise InfiniteRing(str(ring))
     for k in range(ring.modulus):
         yield ring.element(k)
-
-
-def ring_quotient(ring: Ring, ideal: Ideal):
-    """Quotient ring R/I plus the reduction map on elements.
-
-    Supports Z/(m), Z/n/(d) and polynomial quotients by variable ideals.
-    """
-    if ideal.ring != ring:
-        raise MixedRings(f"{ideal.ring} vs {ring}")
-    if ring.kind != "poly":
-        (d,) = ideal.gens
-        if ideal.is_zero:
-            return ring, lambda e: e
-        if d == 1:
-            raise UnrepresentableQuotient("quotient by the unit ideal")
-        quot = Ring.mod(d)
-        return quot, lambda e: quot.element(e.payload)
-    # polynomial ring: allow generators that are plain variables plus an
-    # optional base-constant part
-    killed = []
-    const = []
-    for exp, c in ideal.gens:
-        if sum(exp) == 0:
-            const.append(c)
-        elif sum(exp) == 1 and math.gcd(c, ring._cmod) == 1:
-            killed.append(exp.index(1))
-        else:
-            raise UnrepresentableQuotient(f"cannot quotient {ring} by {ideal}")
-    base_q, base_map = ring_quotient(ring.base, Ideal.of(ring.base, [ring.base.element(c) for c in const]))
-    keep = [i for i in range(len(ring.variables)) if i not in killed]
-    if keep:
-        quot = Ring.polynomial(base_q, tuple(ring.variables[i] for i in keep))
-
-        def reduce_elem(e: RingElement) -> RingElement:
-            d: dict = {}
-            for exp, c in e.terms:
-                if any(exp[i] for i in killed):
-                    continue
-                new_exp = tuple(exp[i] for i in keep)
-                cc = base_map(ring.base.element(c)).payload
-                d[new_exp] = d.get(new_exp, 0) + cc
-            return quot.from_dict(d)
-
-        return quot, reduce_elem
-
-    def reduce_const(e: RingElement) -> RingElement:
-        total = 0
-        for exp, c in e.terms:
-            if not any(exp):
-                total += c
-        return base_map(ring.base.element(total))
-
-    return base_q, reduce_const
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorize import condition_star, relative_generators
-from .reps import Representation, RepresentationError, get_representation, int64_safe
+from .reps import Representation, RepresentationError, get_representation
 from .rings import Ideal, InfiniteRing, Ring, enumerate_elements
 from .roots import get_system
 from .words import Word, evaluate_stack, word_to_sexpr, x_word
@@ -462,7 +462,7 @@ def _require_enumerable(rep: Representation, ring: Ring) -> None:
     if ring.kind != "Zn":
         raise InfiniteRing("subgroup enumeration needs Z/n")
     dim = rep.block_dims[0]
-    if not int64_safe(ring.modulus, dim):
+    if rep.np_dtype(ring.modulus) is object:
         raise EnumerationError(
             f"{ring} is too large for int64 products of {dim}x{dim} matrices"
         )

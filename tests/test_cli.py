@@ -220,6 +220,24 @@ def test_unread_params_refused(command, params, key):
         run_campaign([{"command": command, "params": params}], seed=0, with_timings=False)
 
 
+@pytest.mark.parametrize(
+    "command,params,key",
+    [
+        ("verify-levi", {"type": "A2"}, "'ring', 'ideal_i', 'ideal_j'"),
+        ("verify-long-root", {"type": "C2", "ring": "Z/9"}, "'ideal'"),
+        ("dump-generators", {"type": "A2"}, "'ring'"),
+        ("verify-steinberg", {}, "'type'"),
+        ("bruteforce", {"stmt": "T1", "type": "A2", "ring": "Z/8"}, "'ideal_i'"),
+    ],
+)
+def test_missing_required_params_refused(command, params, key):
+    # these ran and ended in a bare KeyError from the task
+    with pytest.raises(TaskError, match=f"{command} needs parameter {key}"):
+        validate_task(command, params)
+    with pytest.raises(TaskError):
+        run_campaign([{"command": command, "params": params}], seed=0, with_timings=False)
+
+
 def test_candidate_bound_flag_is_gone(capsys):
     argv = ["bruteforce", "--stmt", "T2", "--type", "C2", "--ring", "Z/9", "--ideal-i", "3", "--candidate-bound", "5"]
     with pytest.raises(SystemExit) as exc:

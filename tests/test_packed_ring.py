@@ -60,22 +60,6 @@ class RefPoly:
             out = out * self
         return out
 
-    def divide_int(self, k: int):
-        """Termwise: the quotient over Z, or the least t in [0, n) with
-        k t = c mod n, found by search."""
-        out = {}
-        for exp, c in self.terms.items():
-            if not self.modulus:
-                if c % k:
-                    return None
-                out[exp] = c // k
-            else:
-                t = next((t for t in range(self.modulus) if (k * t - c) % self.modulus == 0), None)
-                if t is None:
-                    return None
-                out[exp] = t
-        return self._new(out)
-
     def canonical(self) -> tuple:
         return tuple(sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True))
 
@@ -114,16 +98,6 @@ def test_packed_arithmetic_matches_reference(data, k):
     assert same(-a, -p)
     assert same(a * b, p * q)
     assert same(a ** k, p ** k)
-
-
-@settings(max_examples=150, deadline=None)
-@given(ring_and_polys(1), st.sampled_from([-6, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6]))
-def test_packed_divide_int_matches_reference(data, k):
-    ring, (p,) = data
-    got, want = packed(ring, p).divide_int(k), p.divide_int(k)
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert same(got, want)
 
 
 @settings(max_examples=100, deadline=None)

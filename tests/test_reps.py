@@ -15,8 +15,6 @@ from chevlab.reps import (
     _unit_entry,
     congruence_level_test,
     get_representation,
-    int64_safe,
-    reduce_mod,
     unipotent_coordinates,
     unipotent_coordinates_stack,
     verify_steinberg,
@@ -44,9 +42,8 @@ def test_a2_generator_shape():
     ring = Ring.polynomial(Ring.integers(), ("xi",))
     (xi,) = ring.vars()
     g = rep.x(rep.system.root((1, 0)), xi)
-    mat = g.matrix()
-    assert mat[0][1] == xi and mat[0][0] == ring.one
-    assert all(mat[i][j].is_zero for i in range(3) for j in range(3)
+    assert g.entry(0, 0, 1) == xi and g.entry(0, 0, 0) == ring.one
+    assert all(g.entry(0, i, j).is_zero for i in range(3) for j in range(3)
                if i != j and (i, j) != (0, 1))
 
 
@@ -82,7 +79,8 @@ def test_c2_preserves_symplectic_form():
     (xi,) = ring.vars()
     form = [[ring.element(v) for v in row] for row in rep.symplectic_form]
     for root in rep.system.roots:
-        m = rep.x(root, xi).matrix()
+        g = rep.x(root, xi)
+        m = [[g.entry(0, i, j) for j in range(4)] for i in range(4)]
         lhs = [[sum((m[k][i] * form[k][l] * m[l][j] for k in range(4) for l in range(4)),
                     ring.zero) for j in range(4)] for i in range(4)]
         assert lhs == form
@@ -107,27 +105,6 @@ def test_z_generator_identities():
     assert z_matrix(rep, root, ring.zero, eta).is_identity
     # z lies in the level-(xi) congruence subgroup
     assert congruence_level_test(z_matrix(rep, root, xi, eta), Ideal.of(ring, [xi]))
-
-
-def test_reduce_mod_examples():
-    rep = get_representation("A2")
-    root = rep.system.root((1, 0))
-    g = reduce_mod(rep.x(root, Z8.element(2)), Ideal.of(Z8, [2]))
-    assert g.is_identity
-    g = reduce_mod(get_representation("C2").x(
-        get_representation("C2").system.root((1, 0)), Z27.element(3)), Ideal.of(Z27, [3]))
-    assert g.is_identity
-
-
-def test_reduce_mod_multiplicative_random():
-    rep = get_representation("A2")
-    ideal = Ideal.of(Z8, [2])
-    rng = random.Random(11)
-    roots = rep.system.roots
-    for _ in range(100):
-        a = rep.x(rng.choice(roots), Z8.element(rng.randrange(8)))
-        b = rep.x(rng.choice(roots), Z8.element(rng.randrange(8)))
-        assert reduce_mod(a * b, ideal) == reduce_mod(a, ideal) * reduce_mod(b, ideal)
 
 
 def test_congruence_level():
@@ -164,8 +141,8 @@ def test_central_mod():
     gens = _reduced_generators(rep, Ring.mod(2))
     root = rep.system.root((1, 0))
     # anything congruent to the identity is central mod I = (2)
-    assert central_mask(rep.x(root, Z8.element(2)).np_single()[None], gens, 2).all()
-    assert not central_mask(rep.x(root, Z8.element(1)).np_single()[None], gens, 2).any()
+    assert central_mask(rep.x(root, Z8.element(2)).blocks[0][None], gens, 2).all()
+    assert not central_mask(rep.x(root, Z8.element(1)).blocks[0][None], gens, 2).any()
 
 
 def test_centralizer_matches_center_bruteforce():
@@ -255,9 +232,8 @@ def _exact_mul(a: list, b: list, n: int) -> list:
 def test_modular_products_exact_past_int64(tag, n):
     rep = get_representation(tag)
     ring = Ring.mod(n)
-    dim = max(rep.block_dims)
-    assert int64_safe(n, dim) == (n <= {"A2": 1753413057, "G2": 811672526}[tag])
-    dtype = np.int64 if int64_safe(n, dim) else object
+    dtype = np.int64 if n <= {"A2": 1753413057, "G2": 811672526}[tag] else object
+    assert rep.np_dtype(n) is dtype
     rng = random.Random(n)
     prod = rep.identity(ring)
     exact = [b.tolist() for b in prod.blocks]
@@ -270,6 +246,16 @@ def test_modular_products_exact_past_int64(tag, n):
     # equality keys depend on the residues only, not on the dtype
     same = GroupElement(rep, ring, "np", tuple(np.array(e, dtype=object) for e in exact))
     assert same == prod and hash(same) == hash(prod)
+
+
+@pytest.mark.parametrize("tag", ["A2", "C2", "G2"])
+def test_identity_blocks_in_np_dtype(tag):
+    # the identity is built in the representation's dtype, so a product
+    # with it never computes residues past int64 in int64
+    rep = get_representation(tag)
+    for n in (8, 2**64 + 13):
+        assert all(b.dtype == rep.np_dtype(n) for b in rep.identity(Ring.mod(n)).blocks)
+    assert all(b.dtype == object for b in rep.identity(Ring.mod(2**64 + 13)).blocks)
 
 
 @pytest.mark.parametrize("tag", ["A2", "C2", "G2"])
@@ -294,7 +280,7 @@ def _word(rep, letters, ring) -> Word:
     return Word(tuple(XSym(roots[i % len(roots)], ring.element(t)) for i, t in letters))
 
 
-# moduli below, around and past the int64 threshold of int64_safe (about
+# moduli below, around and past the int64 threshold of np_dtype (about
 # 1.5e9 for 4x4 blocks, 1.75e9 for 3x3) and past 2^64
 _MODULI = st.one_of(
     st.integers(2, 10**4),
@@ -316,12 +302,14 @@ def test_exact_reduction_matches_numpy_backend(tag, letters, n):
     rep = get_representation(tag)
     Z, ring = Ring.integers(), Ring.mod(n)
     exact = evaluate(_word(rep, letters, Z), rep, Z)
-    reduced = reduce_mod(exact, Ideal.of(Z, [n]))
     modular = evaluate(_word(rep, letters, ring), rep, ring)
-    assert reduced.ring == ring and reduced.backend == modular.backend == "np"
-    assert reduced == modular
-    dtype = np.int64 if int64_safe(n, max(rep.block_dims)) else object
-    assert all(b.dtype == dtype for b in reduced.blocks)
+    assert exact.backend == "exact" and modular.backend == "np"
+    for b, block in enumerate(modular.blocks):
+        assert block.dtype == rep.np_dtype(n)
+        d = rep.block_dims[b]
+        assert [[exact.entry(b, i, j).payload % n for j in range(d)] for i in range(d)] == [
+            [int(block[i, j]) for j in range(d)] for i in range(d)
+        ]
 
 
 # ---------------------------------------------------------------------------

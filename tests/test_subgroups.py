@@ -204,7 +204,7 @@ def test_certificate_bridge_into_commutator_subgroup():
     for item in fam.items:
         if item.certificate is None:
             continue
-        arr = evaluate(item.word, A2, Z4).np_single()
+        arr = evaluate(item.word, A2, Z4).blocks[0]
         assert target.contains_array(arr % 4)
 
 
