@@ -4,6 +4,12 @@ Exit codes: 0 = every verdict true, 1 = some verdict false, 2 = a task
 errored or the input failed validation.  Reports are deterministic for a
 fixed seed and input; wall-clock timings are only embedded on request so
 that default reports are byte-identical across runs.
+
+Tasks run on parsed arguments: ``validate_task`` is the one reader of a
+task's raw parameters and parses each once, defaults filled in.
+``run_campaign`` validates every task before it runs any, so every refusal
+that depends only on the parameters happens before any task runs, exits 2
+and names the command and the parameter.  Reports echo the raw parameters.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ from .factorize import (
     unit_decompose,
 )
 from .reps import get_representation, verify_steinberg
-from .rings import Ideal, ParseError, Ring, RingError, enumerate_elements, parse_ideal, parse_ring
+from .rings import Ideal, Ring, RingError, enumerate_elements, parse_ideal, parse_ring
 from .roots import MainLemmaCase, RootSystemError, get_system
 from .subgroups import DEFAULT_ELEMENT_BOUND, verify_theorem
 from .words import certificate_to_json, evaluate, word_to_sexpr
@@ -48,29 +54,27 @@ PARAMS = {
 }
 
 
+# the systems a command refuses, and why
+UNSUPPORTED = {
+    ("verify-long-root", "A2"): "A2 has no short roots; nothing to decompose",
+    ("bruteforce", "G2"): "G2 subgroup enumeration is out of desk scale",
+}
+IDEALS = ("ideal", "ideal_i", "ideal_j")
+# the value an omitted optional parameter takes
+DEFAULTS = {"samples": 1000, "bound": DEFAULT_ELEMENT_BOUND}
+
+
 class TaskError(Exception):
     pass
 
 
-def _require_system(tag: str) -> str:
-    if tag not in SYSTEMS:
-        raise TaskError(f"unknown system {tag!r}; expected one of {SYSTEMS}")
-    return tag
-
-
-def _finite_ring(spec: str) -> Ring:
-    ring = parse_ring(spec)
-    if ring.kind != "Zn":
-        raise TaskError(f"this task needs a finite ring Z/n, got {spec!r}")
-    return ring
-
-
 # ---------------------------------------------------------------------------
-# task implementations; each returns (result-dict, verdict-bool)
+# task implementations; each runs on the arguments validate_task parsed and
+# returns (result-dict, verdict-bool)
 
 
-def task_verify_steinberg(params: dict) -> tuple[dict, bool]:
-    tag = _require_system(params["type"])
+def task_verify_steinberg(args: dict) -> tuple[dict, bool]:
+    tag = args["type"]
     report = verify_steinberg(get_representation(tag))
     return (
         {
@@ -82,8 +86,8 @@ def task_verify_steinberg(params: dict) -> tuple[dict, bool]:
     )
 
 
-def task_verify_chevalley(params: dict) -> tuple[dict, bool]:
-    tag = _require_system(params["type"])
+def task_verify_chevalley(args: dict) -> tuple[dict, bool]:
+    tag = args["type"]
     rep = get_representation(tag)
     table = compute_table(rep)
     cases = [c for c in MainLemmaCase if c.system_tag == tag]
@@ -117,17 +121,11 @@ def _symbolic_main_lemma(case: MainLemmaCase) -> tuple[CertifiedFactorization, b
     return fact, fact.verify(get_representation(case.system_tag), ring, ideal_i, ideal_j)
 
 
-def _main_lemma_ideals(ring: Ring, params: dict) -> tuple[Ideal, Ideal]:
-    default = str(params.get("ideal", "1"))
-    return tuple(parse_ideal(ring, str(params.get(key, default))) for key in ("ideal_i", "ideal_j"))
-
-
-def task_verify_main_lemma(params: dict) -> tuple[dict, bool]:
-    case = MainLemmaCase.from_string(params["case"])
-    if params.get("ring"):
+def task_verify_main_lemma(args: dict) -> tuple[dict, bool]:
+    case = args["case"]
+    if "ring" in args:
         rep = get_representation(case.system_tag)
-        ring = _finite_ring(params["ring"])
-        ideal_i, ideal_j = _main_lemma_ideals(ring, params)
+        ring, ideal_i, ideal_j = args["ring"], args["ideal_i"], args["ideal_j"]
         checked = 0
         failures = []
         for xi in ideal_i.element_values():
@@ -172,18 +170,11 @@ def _long_root_words(tag: str, ring: Ring, ideal: Ideal, values) -> list[tuple]:
     return rows
 
 
-def _finite_long_root_words(tag: str, params: dict) -> tuple[Ring, Ideal, list[tuple]]:
-    ring = _finite_ring(params["ring"])
-    ideal = parse_ideal(ring, str(params["ideal"]))
-    return ring, ideal, _long_root_words(tag, ring, ideal, ideal.element_values())
-
-
-def task_verify_long_root(params: dict) -> tuple[dict, bool]:
-    tag = _require_system(params["type"])
-    if tag == "A2":
-        raise TaskError("A2 has no short roots; nothing to decompose")
-    if params.get("ring"):
-        ring, ideal, rows = _finite_long_root_words(tag, params)
+def task_verify_long_root(args: dict) -> tuple[dict, bool]:
+    tag = args["type"]
+    if "ring" in args:
+        ring, ideal = args["ring"], args["ideal"]
+        rows = _long_root_words(tag, ring, ideal, ideal.element_values())
         failures = [[beta.name, str(xi)] for beta, xi, _, good in rows if not good]
         result = {
             "mode": "finite",
@@ -207,13 +198,9 @@ def task_verify_long_root(params: dict) -> tuple[dict, bool]:
     return result, not failures
 
 
-def task_verify_levi(params: dict) -> tuple[dict, bool]:
-    tag = _require_system(params["type"])
-    ring = _finite_ring(params["ring"])
-    ideal_i = parse_ideal(ring, str(params["ideal_i"]))
-    ideal_j = parse_ideal(ring, str(params["ideal_j"]))
-    samples = int(params.get("samples", 1000))
-    seed = int(params.get("seed", 0))
+def task_verify_levi(args: dict) -> tuple[dict, bool]:
+    tag, ring, ideal_i, ideal_j = args["type"], args["ring"], args["ideal_i"], args["ideal_j"]
+    samples, seed = args["samples"], args["seed"]
     system = get_system(tag)
     sides = {}
     ok = True
@@ -239,36 +226,23 @@ def task_verify_levi(params: dict) -> tuple[dict, bool]:
     )
 
 
-def task_bruteforce(params: dict) -> tuple[dict, bool]:
-    stmt = params["stmt"]
-    if stmt not in STATEMENTS:
-        raise TaskError(f"unknown statement {stmt!r}; expected one of {STATEMENTS}")
-    tag = _require_system(params["type"])
-    if tag == "G2":
-        raise TaskError(
-            "G2 subgroup enumeration is out of desk scale (congruence kernels "
-            "of order ~3^14 in 21x21 matrices); G2 is covered by the symbolic "
-            "and finite-ring identity layers instead"
-        )
-    ring = _finite_ring(params["ring"])
-    ideal_i = parse_ideal(ring, str(params["ideal_i"]))
-    ideal_j = parse_ideal(ring, str(params.get("ideal_j", params["ideal_i"])))
-    bound = int(params.get("bound", DEFAULT_ELEMENT_BOUND))
-    report = verify_theorem(stmt, tag, ring, ideal_i, ideal_j, bound)
+def task_bruteforce(args: dict) -> tuple[dict, bool]:
+    report = verify_theorem(
+        args["stmt"], args["type"], args["ring"], args["ideal_i"], args["ideal_j"], args["bound"]
+    )
     if report.error is not None:
         return report.to_json(), None
     return report.to_json(), report.verdict is True
 
 
-def task_dump_constants(params: dict) -> tuple[dict, bool]:
-    tag = _require_system(params["type"])
+def task_dump_constants(args: dict) -> tuple[dict, bool]:
+    tag = args["type"]
     table = compute_table(get_representation(tag))
     return {"system": tag, "constants": table.to_records()}, True
 
 
-def task_dump_generators(params: dict) -> tuple[dict, bool]:
-    tag = _require_system(params["type"])
-    ring = _finite_ring(params["ring"])
+def task_dump_generators(args: dict) -> tuple[dict, bool]:
+    tag, ring = args["type"], args["ring"]
     rep = get_representation(tag)
     out = []
     for root in rep.system.roots:
@@ -284,8 +258,8 @@ def task_dump_generators(params: dict) -> tuple[dict, bool]:
     return {"system": tag, "ring": str(ring), "generators": out}, True
 
 
-def task_factorize_main_lemma(params: dict) -> tuple[dict, bool]:
-    case = MainLemmaCase.from_string(params["case"])
+def task_factorize_main_lemma(args: dict) -> tuple[dict, bool]:
+    case = args["case"]
     fact, ok = _symbolic_main_lemma(case)
     return (
         {
@@ -301,9 +275,9 @@ def task_factorize_main_lemma(params: dict) -> tuple[dict, bool]:
     )
 
 
-def task_factorize_long_root(params: dict) -> tuple[dict, bool]:
-    tag = _require_system(params["type"])
-    ring, ideal, rows = _finite_long_root_words(tag, params)
+def task_factorize_long_root(args: dict) -> tuple[dict, bool]:
+    tag, ring, ideal = args["type"], args["ring"], args["ideal"]
+    rows = _long_root_words(tag, ring, ideal, ideal.element_values())
     out = [
         {
             "root": beta.name,
@@ -332,87 +306,114 @@ TASKS = {
 }
 
 
-def _listed_elements(command: str, params: dict, ring: Ring) -> int:
+def _listed_elements(command: str, args: dict) -> int:
     """What a finite-ring task lists before it can finish: |I| |J| n triples
     for the finite main lemma, |roots| n generators for dump-generators and
     |short roots| |I| words for the finite long-root tasks; 0 for others."""
-    n = ring.modulus
+    if "ring" not in args:
+        return 0
+    n = args["ring"].modulus
 
-    def size(ideal: Ideal) -> int:
-        return n // ideal.gens[0]
+    def size(key: str) -> int:
+        return n // args[key].gens[0]
 
     if command == "verify-main-lemma":
-        ideal_i, ideal_j = _main_lemma_ideals(ring, params)
-        return size(ideal_i) * size(ideal_j) * n
+        return size("ideal_i") * size("ideal_j") * n
     if command == "dump-generators":
-        return len(get_system(params["type"]).roots) * n
+        return len(get_system(args["type"]).roots) * n
     if command in ("verify-long-root", "factorize-long-root"):
-        ideal = parse_ideal(ring, str(params["ideal"]))
-        return len(get_system(params["type"]).short_roots) * size(ideal)
+        return len(get_system(args["type"]).short_roots) * size("ideal")
     return 0
 
 
-def validate_task(command: str, params: dict) -> None:
-    """Cheap validation of a task before anything runs."""
+def _parse(command: str, key: str, value, ring: Ring | None):
+    """One raw parameter as the value its task runs on."""
+    if key in ("samples", "bound", "seed"):
+        floor = " >= 1" if key == "samples" else ""
+        try:  # an int or a string of one; no bool or float
+            number = int(value) if type(value) in (int, str) else None
+        except ValueError:
+            number = None
+        if number is None or (floor and number < 1):
+            raise TaskError(f"{command} needs an integer {key}{floor}, got {value!r}")
+        return number
+    invalid = f"{command}: invalid parameter {key}={value!r}: "
+    if value is None:
+        raise TaskError(invalid + "null")
+    if key == "type" and value not in SYSTEMS:
+        raise TaskError(invalid + f"expected one of {SYSTEMS}")
+    if key == "type" and (command, value) in UNSUPPORTED:
+        raise TaskError(invalid + UNSUPPORTED[command, value])
+    if key == "stmt" and value not in STATEMENTS:
+        raise TaskError(invalid + f"expected one of {STATEMENTS}")
+    try:
+        if key == "case":
+            return MainLemmaCase.from_string(str(value))
+        if key == "ring":
+            ring = parse_ring(str(value))
+            if ring.kind != "Zn":
+                raise TaskError(invalid + f"this task needs a finite ring Z/n, got {ring}")
+            return ring
+        if key in IDEALS:
+            return parse_ideal(ring, str(value))
+    except (RingError, RootSystemError) as exc:
+        raise TaskError(invalid + str(exc)) from exc
+    return value
+
+
+def validate_task(command: str, params: dict) -> dict:
+    """The typed arguments a task runs on: each raw parameter parsed once,
+    the defaults filled in.  Every refusal that depends only on the
+    parameters is a TaskError from here naming the command and parameter."""
     if command not in TASKS:
         raise TaskError(f"unknown command {command!r}")
     required, optional = PARAMS[command]
     unknown = sorted(set(params) - {*required, *optional, "seed"})
     if unknown:
         raise TaskError(f"{command} takes no parameter {', '.join(map(repr, unknown))}")
-    if command == "verify-long-root" and params.get("ring"):
+    if command == "verify-long-root" and "ring" in params:
         required += ("ideal",)
     missing = [key for key in required if params.get(key) is None]
     if missing:
         raise TaskError(f"{command} needs parameter {', '.join(map(repr, missing))}")
-    if "samples" in params:
-        try:
-            samples = int(params["samples"])
-        except (TypeError, ValueError):
-            samples = 0
-        if samples < 1:
-            raise TaskError(f"{command} needs an integer samples >= 1, got {params['samples']!r}")
-    if "type" in params:
-        _require_system(params["type"])
-    if "case" in params:
-        try:
-            MainLemmaCase.from_string(params["case"])
-        except RootSystemError as exc:
-            raise TaskError(f"invalid parameter case={params['case']!r}: {exc}") from exc
-    if "ring" in params and params["ring"]:
-        ring = parse_ring(params["ring"])
-        for key in ("ideal", "ideal_i", "ideal_j"):
-            if key in params and params[key] is not None:
-                parse_ideal(ring, str(params[key]))
-        if ring.kind == "Zn":
-            work = _listed_elements(command, params, ring)
-            if work > DEFAULT_ELEMENT_BOUND:
-                raise TaskError(
-                    f"{command} over {ring} would check {work} elements "
-                    f"(> {DEFAULT_ELEMENT_BOUND})"
-                )
+    unread = [key for key in IDEALS if key in params and "ring" not in params]
+    if unread:  # the symbolic checks fix their own ideals
+        keys = ", ".join(map(repr, unread))
+        raise TaskError(f"{command} takes no parameter {keys} without 'ring'")
+    args = {"seed": 0} | {key: DEFAULTS[key] for key in optional if key in DEFAULTS}
+    for key in sorted(params, key=lambda key: key != "ring"):  # the ideals need the ring
+        args[key] = _parse(command, key, params[key], args.get("ring"))
     if command == "bruteforce":
-        if params.get("stmt") not in STATEMENTS:
-            raise TaskError(f"bruteforce needs --stmt from {STATEMENTS}")
-        if params.get("type") == "G2":
-            raise TaskError("bruteforce does not support G2 (out of desk scale)")
+        args.setdefault("ideal_j", args["ideal_i"])
+    if command == "verify-main-lemma" and "ring" in args:
+        default = args["ideal"] if "ideal" in args else parse_ideal(args["ring"], "1")
+        args.setdefault("ideal_i", default)
+        args.setdefault("ideal_j", default)
+    work = _listed_elements(command, args)
+    if work > DEFAULT_ELEMENT_BOUND:
+        raise TaskError(
+            f"{command} over {args['ring']} would check {work} elements (> {DEFAULT_ELEMENT_BOUND})"
+        )
+    return args
 
 
 def run_campaign(tasks: list[dict], seed: int, with_timings: bool) -> dict:
-    """Validate every task, then run them in order."""
-    for entry in tasks:
-        validate_task(entry["command"], entry.get("params", {}))
+    """Validate every task, then run them in order on the parsed arguments."""
+    parsed = []
+    for index, entry in enumerate(tasks):
+        params = entry.get("params", {}) if isinstance(entry, dict) else None
+        if not isinstance(params, dict) or not isinstance(entry.get("command"), str):
+            raise TaskError(f"task {index} needs a string 'command' and object 'params': {entry!r}")
+        params = {"seed": seed, **params}
+        parsed.append((entry["command"], params, validate_task(entry["command"], params)))
     results = []
     timings = []
     any_false = False
     any_error = False
-    for entry in tasks:
-        command = entry["command"]
-        params = dict(entry.get("params", {}))
-        params.setdefault("seed", seed)
+    for command, params, args in parsed:
         start = time.monotonic()
         try:
-            result, ok = TASKS[command](params)
+            result, ok = TASKS[command](args)
             if ok is None:
                 status = "error"
                 any_error = True
@@ -424,14 +425,7 @@ def run_campaign(tasks: list[dict], seed: int, with_timings: bool) -> dict:
             status = "error"
             any_error = True
         timings.append(round(time.monotonic() - start, 3))
-        results.append(
-            {
-                "command": command,
-                "params": {k: v for k, v in params.items()},
-                "status": status,
-                "result": result,
-            }
-        )
+        results.append({"command": command, "params": params, "status": status, "result": result})
     report = {
         "version": "0.1.0",
         "seed": seed,
@@ -551,11 +545,12 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot read campaign: {exc}", file=sys.stderr)
             return 2
-        tasks = spec.get("tasks", [])
-        seed = int(spec.get("seed", args.seed))
         try:
-            report = run_campaign(tasks, seed, args.timings)
-        except (TaskError, RingError, ParseError) as exc:
+            if not isinstance(spec, dict) or not isinstance(spec.get("tasks", []), list):
+                raise TaskError(f"{args.file} is not an object with a list 'tasks'")
+            seed = _parse(args.file, "seed", spec.get("seed", args.seed), None)
+            report = run_campaign(spec.get("tasks", []), seed, args.timings)
+        except TaskError as exc:
             print(f"campaign validation failed: {exc}", file=sys.stderr)
             return 2
         _emit(report, args.output or args.report)
@@ -563,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
     task = _args_to_task(args)
     try:
         report = run_campaign([task], args.seed, args.timings)
-    except (TaskError, RingError, ParseError) as exc:
+    except TaskError as exc:
         print(f"invalid task: {exc}", file=sys.stderr)
         return 2
     _emit(report, args.report)

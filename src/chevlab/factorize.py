@@ -30,11 +30,13 @@ from .rings import (
     InfiniteRing,
     Ring,
     RingElement,
+    enumerate_elements,
     has_residue_field_f2,
     theta_condition_holds,
 )
 from .roots import MainLemmaCase, Root, RootSystem, canonical_case_root, get_system
 from .words import (
+    ConjSym,
     ConjugateOf,
     GenCommutator,
     LevelElement,
@@ -459,8 +461,6 @@ def long_word_factor_count(word: Word) -> int:
     """Top-level factors, counting each unit-decomposition term's base."""
     count = 0
     for sym in word.letters:
-        from .words import ConjSym
-
         if isinstance(sym, ConjSym) and len(sym.base.letters) > 1:
             count = max(count, len(sym.base.letters))
         else:
@@ -479,8 +479,6 @@ def relative_generators(system_tag: str, ideal: Ideal) -> list[Word]:
         raise InfiniteRing("relative generators need a finite ring")
     system = get_system(system_tag)
     out = []
-    from .rings import enumerate_elements
-
     for alpha in system.roots:
         for xi in ideal.element_values():
             for eta in enumerate_elements(ring):
@@ -535,8 +533,6 @@ def mixed_commutator_generators(
         )
     ideal_ij = ideal_i.product(ideal_j)
     items = []
-    from .rings import enumerate_elements
-
     for alpha in system.roots:
         for xi in ideal_i.element_values():
             for zeta in ideal_j.element_values():

@@ -365,15 +365,13 @@ class EnumeratedSubgroup:
         return _unique_rows(np.concatenate(outside), n)
 
     def close_under_conjugation(
-        self, conj_stack: np.ndarray, bound: int, conj_inv: np.ndarray | None = None
+        self, conj_stack: np.ndarray, bound: int, conj_inv: np.ndarray
     ) -> None:
         """Extend until stable under conjugation by the given matrices.
 
         Conjugates of generators already checked stay inside as the set
         grows, so each round conjugates only the generators added since; no
         inverse of a generator is conjugated, as c g^-1 c^-1 = (c g c^-1)^-1."""
-        if conj_inv is None:
-            conj_inv = _batch_inverse(conj_stack, self.ring.modulus)
         done = 0
         while done < len(self._min_gens):
             gens = np.stack(self._min_gens[done:])
@@ -870,7 +868,7 @@ def verify_theorem(
     )
     try:
         _dispatch_theorem(statement, system_tag, ring, ideal_i, ideal_j, bound, report)
-    except (BoundExceeded, EnumerationError, UnsupportedType, InfiniteRing) as exc:
+    except (EnumerationError, InfiniteRing) as exc:
         report.error = f"{type(exc).__name__}: {exc}"
         report.verdict = None
     return report

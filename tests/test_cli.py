@@ -1,10 +1,11 @@
 import hashlib
 import json
+import re
 import time
 
 import pytest
 
-from chevlab.cli import main, run_campaign, validate_task, TaskError
+from chevlab.cli import PARAMS, TASKS, TaskError, _args_to_task, build_parser, main, run_campaign, validate_task
 
 
 def test_empty_campaign(tmp_path, capsys):
@@ -210,6 +211,9 @@ def test_bound_exceeded_is_an_error_result():
         ("verify-levi", {"type": "A2", "ring": "Z/8", "ideal_i": "2", "ideal_j": "2", "samples": 5, "bound": 3, "stmt": "T2"}, "'bound', 'stmt'"),
         # the report echoed a ring the Steinberg check never used
         ("verify-steinberg", {"type": "A2", "ring": "Z/8", "ideal": "2"}, "'ideal', 'ring'"),
+        # the symbolic checks ran and echoed ideals they never read
+        ("verify-main-lemma", {"case": "A2", "ideal_i": "2", "ideal_j": "4"}, "'ideal_i', 'ideal_j' without 'ring'"),
+        ("verify-long-root", {"type": "C2", "ideal": "3"}, "'ideal' without 'ring'"),
     ],
 )
 def test_unread_params_refused(command, params, key):
@@ -251,3 +255,95 @@ def test_levi_without_samples_refused(samples, capsys):
     argv = ["verify", "levi", "--type", "A2", "--ring", "Z/8", "--ideal-i", "2", "--ideal-j", "2"]
     assert main(argv + ["--samples", str(samples)]) == 2
     assert f"needs an integer samples >= 1, got {samples}" in capsys.readouterr().err
+
+
+def test_every_command_declares_its_params():
+    assert set(PARAMS) == set(TASKS)
+
+
+# The task each subcommand's argv becomes, argparse defaults included
+# (CLI reports echo them); the campaign seed is not a task parameter.
+@pytest.mark.parametrize(
+    "argv,command,params",
+    [
+        (["verify", "steinberg", "--type", "A2"], "verify-steinberg", {"type": "A2"}),
+        (["verify", "chevalley", "--type", "G2", "--seed", "3"], "verify-chevalley", {"type": "G2"}),
+        (["verify", "main-lemma", "--case", "A2", "--ring", "Z/8", "--ideal-i", "2", "--ideal-j", "4"],
+         "verify-main-lemma", {"case": "A2", "ring": "Z/8", "ideal_i": "2", "ideal_j": "4"}),
+        (["verify", "main-lemma", "--case", "C2Short", "--symbolic", "--ring", "Z/8"],
+         "verify-main-lemma", {"case": "C2Short"}),
+        (["verify", "long-root", "--type", "C2", "--ring", "Z/27", "--ideal", "3"],
+         "verify-long-root", {"type": "C2", "ring": "Z/27", "ideal": "3"}),
+        (["verify", "long-root", "--type", "G2", "--symbolic"], "verify-long-root", {"type": "G2"}),
+        (["verify", "levi", "--type", "A2", "--ring", "Z/8", "--ideal-i", "2", "--ideal-j", "2"],
+         "verify-levi", {"type": "A2", "ring": "Z/8", "ideal_i": "2", "ideal_j": "2", "samples": 1000}),
+        (["bruteforce", "--stmt", "O1", "--type", "A2", "--ring", "Z/8", "--ideal-i", "2"],
+         "bruteforce", {"stmt": "O1", "type": "A2", "ring": "Z/8", "ideal_i": "2", "bound": 1000000}),
+        (["dump-constants", "--type", "C2"], "dump-constants", {"type": "C2"}),
+        (["dump-generators", "--type", "A2", "--ring", "Z/8"], "dump-generators", {"type": "A2", "ring": "Z/8"}),
+        (["factorize", "main-lemma", "--case", "G2Short", "--symbolic"], "factorize-main-lemma", {"case": "G2Short"}),
+        (["factorize", "long-root", "--type", "C2", "--ring", "Z/9", "--ideal", "3"],
+         "factorize-long-root", {"type": "C2", "ring": "Z/9", "ideal": "3"}),
+    ],
+)
+def test_argv_maps_to_task(argv, command, params):
+    assert _args_to_task(build_parser().parse_args(argv)) == {"command": command, "params": params}
+
+
+@pytest.mark.parametrize(
+    "command,params,message",
+    [
+        # null optionals were parsed as the name 'None' at run time
+        ("bruteforce", {"stmt": "T1", "type": "A2", "ring": "Z/8", "ideal_i": "2", "ideal_j": None},
+         "bruteforce: invalid parameter ideal_j=None"),
+        ("verify-main-lemma", {"case": "A2", "ring": "Z/8", "ideal_i": None},
+         "verify-main-lemma: invalid parameter ideal_i=None"),
+        # these ran with 2, 1 and 2 samples or bound, and the seed went unused
+        ("verify-levi", {"type": "A2", "ring": "Z/8", "ideal_i": "2", "ideal_j": "2", "samples": 2.7},
+         "verify-levi needs an integer samples >= 1, got 2.7"),
+        ("verify-levi", {"type": "A2", "ring": "Z/8", "ideal_i": "2", "ideal_j": "2", "samples": True},
+         "verify-levi needs an integer samples >= 1, got True"),
+        ("bruteforce", {"stmt": "O1", "type": "A2", "ring": "Z/8", "ideal_i": "2", "bound": 2.5},
+         "bruteforce needs an integer bound, got 2.5"),
+        ("verify-steinberg", {"type": "A2", "seed": "q"}, "verify-steinberg needs an integer seed, got 'q'"),
+        # the symbolic check ran and echoed the empty ring
+        ("verify-main-lemma", {"case": "A2", "ring": ""}, "verify-main-lemma: invalid parameter ring=''"),
+        # a ring other than Z/n failed at run time; parse errors named no parameter
+        ("verify-long-root", {"type": "C2", "ring": "Z", "ideal": "2"},
+         "verify-long-root: invalid parameter ring='Z': this task needs a finite ring Z/n"),
+        ("dump-generators", {"type": "A2", "ring": "Z/9[t]"}, "dump-generators: invalid parameter ring='Z/9[t]'"),
+        ("bruteforce", {"stmt": "T1", "type": "A2", "ring": "Z/8", "ideal_i": "x"},
+         "bruteforce: invalid parameter ideal_i='x'"),
+        # A2 has no short root to decompose
+        ("verify-long-root", {"type": "A2"}, "verify-long-root: invalid parameter type='A2'"),
+    ],
+)
+def test_malformed_values_refused(command, params, message, tmp_path, capsys):
+    with pytest.raises(TaskError, match=re.escape(message)):
+        validate_task(command, params)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"tasks": [{"command": "verify-chevalley", "params": {"type": "A2"}},
+                                          {"command": command, "params": params}]}))
+    out = tmp_path / "r.json"
+    assert main(["campaign", "run", str(path), "--output", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec,key",
+    [
+        ({"seed": "x", "tasks": []}, "seed"),
+        ([{"command": "verify-steinberg", "params": {"type": "A2"}}], "'tasks'"),
+        ({"tasks": {"command": "verify-steinberg"}}, "'tasks'"),
+        ({"tasks": [{"params": {"type": "A2"}}]}, "'command'"),
+        ({"tasks": [{"command": "verify-steinberg", "params": ["type"]}]}, "'params'"),
+    ],
+)
+def test_malformed_campaign_files_refused(spec, key, tmp_path, capsys):
+    # each ended in a traceback and exit 1, which means a false verdict
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(spec))
+    assert main(["campaign", "run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("campaign validation failed: ") and key in err

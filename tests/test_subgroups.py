@@ -161,7 +161,7 @@ def test_relative_subgroup_equals_normal_closure():
 
     seed = _word_matrices(elementary_level_words("A2", ideal), A2, Z8)
     conj = _word_matrices(absolute_elementary_words("A2", Z8), A2, Z8)
-    normal = _normal_closure(A2, Z8, [], seed, 10**6, conj)
+    normal = _normal_closure(A2, Z8, [], seed, 10**6, conj, _batch_inverse(conj, 8))
     assert rel.same_elements(normal)
 
 
