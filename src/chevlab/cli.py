@@ -57,6 +57,7 @@ PARAMS = {
 # the systems a command refuses, and why
 UNSUPPORTED = {
     ("verify-long-root", "A2"): "A2 has no short roots; nothing to decompose",
+    ("factorize-long-root", "A2"): "A2 has no short roots; nothing to decompose",
     ("bruteforce", "G2"): "G2 subgroup enumeration is out of desk scale",
 }
 IDEALS = ("ideal", "ideal_i", "ideal_j")
@@ -329,7 +330,7 @@ def _listed_elements(command: str, args: dict) -> int:
 def _parse(command: str, key: str, value, ring: Ring | None):
     """One raw parameter as the value its task runs on."""
     if key in ("samples", "bound", "seed"):
-        floor = " >= 1" if key == "samples" else ""
+        floor = " >= 1" if key in ("samples", "bound") else ""
         try:  # an int or a string of one; no bool or float
             number = int(value) if type(value) in (int, str) else None
         except ValueError:

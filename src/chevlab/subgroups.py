@@ -9,7 +9,10 @@ over a minimal generating subset, so verdicts are deterministic and
 independent of chunk sizes.  A closure multiplies by the generators alone,
 never by their inverses: in a finite group g^-1 = g^(ord g - 1), so the
 submonoid a set of invertible matrices spans is the subgroup it generates.
-``close_over`` checks that each determinant is a unit.
+``close_over`` checks that each generator is invertible with ``_eliminate``,
+Gauss-Jordan mod p^k with unit pivots only: joined over the p^k exactly
+dividing n by the Chinese remainder theorem it gives every inverse, and over
+F_p it solves the linearised group equations.
 
 Membership and deduplication go through one code per matrix (``_codes``).
 When n^(dim^2) <= 2^64, which holds for A2 up to n = 138 and for C2 up to
@@ -159,43 +162,50 @@ def _first_rows(stack: np.ndarray, n: int) -> np.ndarray:
     return np.sort(first)
 
 
-def _batch_inverse(stack: np.ndarray, n: int) -> np.ndarray:
-    """Inverses mod n via the adjugate; determinants must be units."""
-    dim = stack.shape[1]
+def _batch_inverse(stack: np.ndarray, n: int, what: str = "inverse batch") -> np.ndarray:
+    """Inverses mod n: ``_eliminate`` at each p^k exactly dividing n, joined
+    by the Chinese remainder theorem; EnumerationError naming what when a
+    matrix is not invertible."""
     out = np.zeros_like(stack)
-    dets, where = _unit_determinants(stack, n, "inverse batch")
-    unit_inv = np.array([pow(int(d), -1, n) for d in dets], dtype=np.int64)[where]
-    minor_rows = [np.array([r for r in range(dim) if r != i]) for i in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            minor = stack[:, minor_rows[j][:, None], minor_rows[i]]
-            cof = _batch_det(minor, n) * ((-1) ** (i + j))
-            out[:, i, j] = cof % n
-    return (out * unit_inv[:, None, None]) % n
+    for p, k in _prime_powers(n):
+        q = p**k
+        _, inv, pivoted = _eliminate(stack, p, q)
+        if not pivoted.all():
+            raise EnumerationError(f"non-invertible matrix in {what}")
+        # inv mod q and 0 mod n/q
+        out = (out + inv * ((n // q) * pow(n // q, -1, q) % n)) % n
+    return out
 
 
-def _unit_determinants(stack: np.ndarray, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct determinants mod n of the stack and the index of each
-    matrix's among them; EnumerationError naming what when one is not a unit."""
-    dets, where = np.unique(_batch_det(stack, n), return_inverse=True)
-    if any(math.gcd(int(d), n) != 1 for d in dets):
-        raise EnumerationError(f"non-invertible matrix in {what}")
-    return dets, where
-
-
-def _batch_det(stack: np.ndarray, n: int) -> np.ndarray:
-    dim = stack.shape[1]
-    if dim == 1:
-        return stack[:, 0, 0] % n
-    if dim == 2:
-        return (stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]) % n
-    total = np.zeros(stack.shape[0], dtype=np.int64)
-    rows = np.arange(1, dim)[:, None]
-    for j in range(dim):
-        cols = np.array([c for c in range(dim) if c != j])
-        minor = stack[:, rows, cols]
-        total = (total + ((-1) ** j) * stack[:, 0, j] * _batch_det(minor, n)) % n
-    return total % n
+def _eliminate(mats: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Jordan elimination of each r x c matrix mod q = p^k, each pivot
+    the first unit at or below the next pivot row.  Returns (reduced,
+    transform, pivoted) with transform @ mat = reduced mod q; pivoted[b, j]
+    marks the columns of matrix b that hold a pivot.  A square matrix is
+    invertible mod q exactly when all do, its inverse then the transform."""
+    count, r, c = mats.shape
+    rows = np.concatenate([mats % q, np.broadcast_to(np.eye(r, dtype=np.int64), (count, r, r))], axis=2)
+    top = np.zeros(count, dtype=np.int64)
+    pivoted = np.zeros((count, c), dtype=bool)
+    for col in range(c):
+        units = (rows[:, :, col] % p != 0) & (np.arange(r) >= top[:, None])
+        sel = np.flatnonzero(units.any(axis=1))
+        at, found, i = top[sel], units[sel].argmax(axis=1), np.arange(len(sel))
+        block = rows[sel]
+        pivot = block[i, found]
+        block[i, found] = block[i, at]
+        # u^-1 = u^(phi(q) - 1) for a unit u mod q
+        unit, inv, e = pivot[:, col], np.ones(len(sel), dtype=np.int64), q // p * (p - 1) - 1
+        while e:
+            inv = inv * unit % q if e & 1 else inv
+            unit, e = unit * unit % q, e >> 1
+        pivot = pivot * inv[:, None] % q
+        block = (block - block[:, :, col, None] * pivot[:, None, :]) % q
+        block[i, at] = pivot
+        rows[sel] = block
+        pivoted[sel, col] = True
+        top[sel] += 1
+    return rows[:, :, :c], rows[:, :, c:], pivoted
 
 
 class EnumeratedSubgroup:
@@ -312,7 +322,7 @@ class EnumeratedSubgroup:
         Only right products with the generators themselves are formed, never
         with their inverses: in a finite group g^-1 = g^(ord g - 1), so the
         submonoid the generators span is the subgroup they generate.  Each
-        generator must have a unit determinant, which is what makes it an
+        generator must be invertible mod n, which is what makes it an
         element of finite order.  The set stays closed under all previously
         added generators, so each extension only needs to explore products
         involving the new one.
@@ -321,7 +331,7 @@ class EnumeratedSubgroup:
         dim = self.rep.block_dims[0]
         self._add_batch(np.eye(dim, dtype=np.int64)[None], bound)
         gen_stack = gen_stack % n
-        _unit_determinants(gen_stack, n, "generator batch")
+        _batch_inverse(gen_stack, n, "generator batch")
         for g in gen_stack:
             if self.contains_array(g):
                 continue
@@ -480,7 +490,7 @@ def full_congruence_generators(rep: Representation, ring: Ring, ideal: Ideal) ->
     listed, so no size is refused.  Refused for the zero and unit ideals."""
     _require_enumerable(rep, ring)
     n, (d,) = ring.modulus, ideal.gens
-    _require_proper_level(n, d)
+    _require_proper_level(rep, ring, ideal)
     gens = _certify_generators(rep, n, d, True, _congruence_generators(rep, n, d, True))
     return _congruence_order(rep, n, d, True), gens
 
@@ -512,13 +522,13 @@ def enumerate_full_congruence(
     zero and unit ideals, and when the closed-form order exceeds the
     bound."""
     _require_enumerable(rep, ring)
-    _require_proper_level(ring.modulus, ideal.gens[0])
+    _require_proper_level(rep, ring, ideal)
     return _congruence(rep, ring, ideal, bound, central=True)
 
 
-def _require_proper_level(n: int, d: int) -> None:
-    if d % n == 0 or d == 1:
-        raise EnumerationError("full congruence enumeration needs a proper nonzero level")
+def _require_proper_level(rep: Representation, ring: Ring, ideal: Ideal) -> None:
+    if ideal.gens[0] % ring.modulus == 0 or ideal.gens[0] == 1:
+        raise EnumerationError(f"C({ring}, {ideal}) of {rep.name}: the level is not a proper nonzero ideal")
 
 
 def _congruence(
@@ -676,7 +686,7 @@ def _certify_generators(rep: Representation, n: int, d: int, central: bool, bloc
             rank = 0
             if not np.any(steps % (rest * p**m)):
                 images = (steps // (rest * p**m)) % p
-                rank = dim * dim - len(_solve_mod_p(images.reshape(len(layer), -1), p)[1])
+                rank = int(_eliminate(images.reshape(1, len(layer), -1), p, p)[2].sum())
             if rank != dim_g:
                 raise EnumerationError(
                     f"{where}: rank check failed (layer {m} at {p} spans {rank} dimensions, not {dim_g})"
@@ -738,32 +748,13 @@ def _solve_mod_p(lin: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-reduce the r x c matrix over F_p.  Returns (P, B): when lin z = b
     is solvable, b @ P is one solution, and the rows of B span the solutions
     of lin z = 0."""
-    r, c = lin.shape
-    rows = [[int(x) % p for x in row] + [int(i == j) for j in range(r)] for i, row in enumerate(lin)]
-    pivots: list[int] = []
-    for col in range(c):
-        top = len(pivots)
-        found = next((i for i in range(top, r) if rows[i][col]), None)
-        if found is None:
-            continue
-        rows[top], rows[found] = rows[found], rows[top]
-        inv = pow(rows[top][col], -1, p)
-        rows[top] = [x * inv % p for x in rows[top]]
-        for i in range(r):
-            if i != top and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[top])]
-        pivots.append(col)
-    rank = len(pivots)
-    reduced = np.array([row[:c] for row in rows], dtype=np.int64).reshape(r, c)
-    transform = np.array([row[c:] for row in rows], dtype=np.int64).reshape(r, r)
-    particular = np.zeros((r, c), dtype=np.int64)
-    particular[:, pivots] = transform[:rank].T
-    free = [col for col in range(c) if col not in pivots]
-    basis = np.zeros((len(free), c), dtype=np.int64)
-    for i, col in enumerate(free):
-        basis[i, col] = 1
-        basis[i, pivots] = (-reduced[:rank, col]) % p
+    reduced, transform, pivoted = (out[0] for out in _eliminate(lin[None], p, p))
+    pivots, free = np.flatnonzero(pivoted), np.flatnonzero(~pivoted)
+    particular = np.zeros(lin.shape, dtype=np.int64)
+    particular[:, pivots] = transform[: len(pivots)].T
+    basis = np.zeros((len(free), lin.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-reduced[: len(pivots), free].T) % p
     return particular, basis
 
 
@@ -788,10 +779,18 @@ def _group_equations(rep: Representation, stack: np.ndarray, n: int) -> np.ndarr
     """The defining equations of the group at each matrix, mod n, one row per
     matrix: the determinant for A2, the entries of g^T Omega g for C2."""
     if rep.system.type_tag == "A2":
-        return _batch_det(stack, n)[:, None]
+        return _det3(stack, n)[:, None]
     form = np.array(rep.symplectic_form, dtype=np.int64)
     lhs = np.matmul(np.matmul(stack.transpose(0, 2, 1), form) % n, stack) % n
     return lhs.reshape(len(stack), -1)
+
+
+def _det3(stack: np.ndarray, n: int) -> np.ndarray:
+    """The determinant of each 3x3 matrix mod n by cofactors of the first
+    row; each product is of two residues, so int64 holds it."""
+    g = stack % n
+    cof = [(g[:, 1, j] * g[:, 2, k] - g[:, 1, k] * g[:, 2, j]) % n for j, k in ((1, 2), (2, 0), (0, 1))]
+    return sum(g[:, 0, i] * cof[i] % n for i in range(3)) % n
 
 
 def _group_equation_mask(rep: Representation, cand: np.ndarray, n: int) -> np.ndarray:

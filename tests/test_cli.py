@@ -202,6 +202,22 @@ def test_bound_exceeded_is_an_error_result():
 
 
 @pytest.mark.parametrize(
+    "stmt,ideal_i,ideal_j,level",
+    [("T2", "2", "0", "(0)"), ("T2", "2", "1", "(1)"), ("T3", "0", "2", "(0)")],
+)
+def test_level_refusal_names_subgroup_ring_and_ideal(stmt, ideal_i, ideal_j, level):
+    # C(R, J) for T2 and C(R, I) for T3 need a proper nonzero level; the
+    # message named neither the ring nor the level
+    task = {"command": "bruteforce", "params": {
+        "stmt": stmt, "type": "A2", "ring": "Z/8", "ideal_i": ideal_i, "ideal_j": ideal_j}}
+    report = run_campaign([task], seed=0, with_timings=False)
+    assert report["exit_code"] == 2
+    assert report["tasks"][0]["result"]["error"] == (
+        f"EnumerationError: C(Z/8, {level}) of A2: the level is not a proper nonzero ideal"
+    )
+
+
+@pytest.mark.parametrize(
     "command,params,key",
     [
         # the hyphenated keys were ignored, and (1),(1) checked under (2),(4)
@@ -304,7 +320,7 @@ def test_argv_maps_to_task(argv, command, params):
         ("verify-levi", {"type": "A2", "ring": "Z/8", "ideal_i": "2", "ideal_j": "2", "samples": True},
          "verify-levi needs an integer samples >= 1, got True"),
         ("bruteforce", {"stmt": "O1", "type": "A2", "ring": "Z/8", "ideal_i": "2", "bound": 2.5},
-         "bruteforce needs an integer bound, got 2.5"),
+         "bruteforce needs an integer bound >= 1, got 2.5"),
         ("verify-steinberg", {"type": "A2", "seed": "q"}, "verify-steinberg needs an integer seed, got 'q'"),
         # the symbolic check ran and echoed the empty ring
         ("verify-main-lemma", {"case": "A2", "ring": ""}, "verify-main-lemma: invalid parameter ring=''"),
@@ -316,6 +332,12 @@ def test_argv_maps_to_task(argv, command, params):
          "bruteforce: invalid parameter ideal_i='x'"),
         # A2 has no short root to decompose
         ("verify-long-root", {"type": "A2"}, "verify-long-root: invalid parameter type='A2'"),
+        # reported "words": [] with status ok, a vacuous verdict
+        ("factorize-long-root", {"type": "A2", "ring": "Z/9", "ideal": "3"},
+         "factorize-long-root: invalid parameter type='A2': A2 has no short roots"),
+        # ended as a BoundExceeded error result, after the tasks ahead of it ran
+        ("bruteforce", {"stmt": "T1", "type": "A2", "ring": "Z/8", "ideal_i": "2", "bound": 0},
+         "bruteforce needs an integer bound >= 1, got 0"),
     ],
 )
 def test_malformed_values_refused(command, params, message, tmp_path, capsys):

@@ -19,7 +19,6 @@ from chevlab.subgroups import (
     EnumeratedSubgroup,
     UnsupportedType,
     _CONJ_CHUNK,
-    _batch_det,
     _batch_inverse,
     _codes,
     _normal_closure,
@@ -33,6 +32,7 @@ from chevlab.subgroups import (
     verify_theorem,
 )
 from chevlab.words import Word, x_word
+from cofactor_oracle import batch_det
 from congruence_oracle import full_congruence_by_closure, sweep_central_scalars, sweep_congruence
 from membership_oracle import ByteKeySubgroup
 
@@ -353,7 +353,7 @@ def test_full_congruence_lifts_classes_without_scalar_lift():
     assert cfull.cardinality == 19683 == 3 * 3**8
     residues = {tuple((m % 9).ravel()) for m in cfull.stack}
     assert residues == {tuple((s * np.eye(3, dtype=np.int64)).ravel()) for s in (1, 4, 7)}
-    assert np.all(_batch_det(cfull.stack, 27) == 1)
+    assert np.all(batch_det(cfull.stack, 27) == 1)
 
 
 def test_verify_theorem_small_ring_all_statements():
@@ -663,8 +663,9 @@ def test_comparing_subgroups_over_different_rings_refused():
 
 
 def test_close_over_refuses_non_invertible_generators():
-    # no inverse is formed, so the determinant check is what keeps out a
-    # matrix no power of which is 1, for which the monoid argument fails
+    # no inverse is multiplied in, so the invertibility check (a unit pivot
+    # in every column at each prime) is what keeps out a matrix no power of
+    # which is 1, for which the monoid argument fails
     ident = np.eye(3, dtype=np.int64)
     unit = ident.copy()
     unit[0, 1] = 1
