@@ -203,7 +203,11 @@ def test_bound_exceeded_is_an_error_result():
 
 @pytest.mark.parametrize(
     "stmt,ideal_i,ideal_j,level",
-    [("T2", "2", "0", "(0)"), ("T2", "2", "1", "(1)"), ("T3", "0", "2", "(0)")],
+    [
+        ("T2", "2", "0", "(0)"), ("T2", "2", "1", "(1)"), ("T3", "0", "2", "(0)"),
+        # checked only after the closures of E(R) ran into the element bound
+        ("T3", "1", "2", "(1)"), ("T2", "1", "1", "(1)"),
+    ],
 )
 def test_level_refusal_names_subgroup_ring_and_ideal(stmt, ideal_i, ideal_j, level):
     # C(R, J) for T2 and C(R, I) for T3 need a proper nonzero level; the

@@ -21,6 +21,8 @@ from chevlab.subgroups import (
     _CONJ_CHUNK,
     _batch_inverse,
     _codes,
+    _congruence_order,
+    _generated_order,
     _normal_closure,
     _word_matrices,
     closure,
@@ -850,6 +852,83 @@ def test_t1_side_data_gated_on_the_closed_form():
     assert report.error is None and report.verdict is True
     assert report.cardinalities == {"[E(I),E(J)]": 1, "[E(R,I),E(R,J)]": 1}
     assert report.notes == []
+
+
+# every proper level of A2 and C2 over Z/4, 8, 9, 16, 27 with |G(R,I)| <= 10^5,
+# and three composite levels, where every prime of n divides d
+_SIFT_LEVELS = [
+    (rep, n, d)
+    for rep in (A2, C2)
+    for n in (4, 8, 9, 16, 27)
+    for d in range(2, n)
+    if n % d == 0 and _congruence_order(rep, n, d, False) <= 10**5
+] + [(A2, 12, 6), (C2, 12, 6), (A2, 18, 6)]
+
+
+@pytest.mark.parametrize(
+    "rep,n,d", [pytest.param(rep, n, d, id=f"{rep.name}-Z{n}-({d})") for rep, n, d in _SIFT_LEVELS]
+)
+def test_generated_order_matches_closure(rep, n, d):
+    # E(R,I), E(I) and three seeded subsets of 1-4 relative generators; no
+    # subset reaches G(R,I), whose layer at the level alone needs dim G
+    # generators
+    ring = Ring.mod(n)
+    ideal = Ideal.of(ring, [d])
+    rel = relative_generators(rep.name, ideal)
+    rng = np.random.default_rng(n * d)
+    subsets = [[rel[i] for i in rng.choice(len(rel), size=rng.integers(1, 5), replace=False)] for _ in range(3)]
+    g_size = _congruence_order(rep, n, d, False)
+    for words in [rel, elementary_level_words(rep.name, ideal), *subsets]:
+        order = _generated_order(_word_matrices(words, rep, ring), n)
+        assert order == closure(words, rep, ring).cardinality
+    assert order < g_size
+
+
+@pytest.mark.parametrize("n,t,prime", [(8, 1, 2), (12, 2, 3)])
+def test_generated_order_refuses_a_matrix_off_one(n, t, prime):
+    # x_a(2) over Z/12 is 1 mod 2 but not mod 3
+    ring = Ring.mod(n)
+    mats = _word_matrices([x_word(A2.system.roots[0], ring.element(t))], A2, ring)
+    with pytest.raises(EnumerationError, match=f"not 1 mod {prime}$"):
+        _generated_order(mats, n)
+
+
+def test_t1_side_data_inside_the_radical_lists_nothing(monkeypatch):
+    cases = [("A2", 8, 2), ("C2", 9, 3)]
+
+    def run(tag, n, d):
+        ring = Ring.mod(n)
+        return verify_theorem("T1", tag, ring, Ideal.of(ring, [d]), Ideal.of(ring, [d])).to_json()
+
+    expected = [run(*case) for case in cases]
+    assert [r["cardinalities"]["E(R,I)"] for r in expected] == [65536, 59049]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("E(R,I) was listed")
+
+    monkeypatch.setattr(subgroups, "closure", refuse)
+    assert [run(*case) for case in cases] == expected
+
+
+def test_t1_side_data_outside_the_radical_through_the_closure(monkeypatch):
+    # 3 does not divide the level (2) of Z/6, so E(R,I) = SL3(F_3) is listed
+    listed = []
+    monkeypatch.setattr(subgroups, "closure", lambda *args: listed.append(1) or closure(*args))
+    ring = Ring.mod(6)
+    report = verify_theorem("T1", "A2", ring, Ideal.of(ring, [2]), Ideal.of(ring, [2]))
+    assert report.error is None and listed
+    assert report.cardinalities["E(R,I)"] == report.cardinalities["G(R,I)"] == 5616
+
+
+def test_t1_side_data_on_a_large_level():
+    # E(R,I) = G(R,I) has 5^8 elements; its closure took over a second
+    ring = Ring.mod(25)
+    ideal = Ideal.of(ring, [5])
+    start = time.perf_counter()
+    report = verify_theorem("T1", "A2", ring, ideal, ideal)
+    assert time.perf_counter() - start < 1
+    assert report.error is None and report.verdict is True
+    assert report.cardinalities["E(R,I)"] == report.cardinalities["G(R,I)"] == 390625
 
 
 def test_full_congruence_listed_at_a_large_prime_level(monkeypatch):
