@@ -10,11 +10,13 @@ raises.
 
 Constants are computed, not copied from tables, so the signs are whatever
 the fixed matrices dictate; ``normalize_signs`` then produces the
-per-case reparametrization that makes the displayed constants positive.
+per-case reparametrization that makes the displayed constants positive;
+``StructureConstantTable.signs`` keeps it with the table, so a fresh table
+from a cleared ``compute_table`` cache computes it anew.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .reps import PeelError, Representation, get_representation, unipotent_coordinates
@@ -35,6 +37,14 @@ class StructureConstantTable:
     rep_name: str
     system_tag: str
     entries: dict  # (alpha, beta, i, j) -> int
+    # case -> normalize_signs(self, case), filled in by ``signs``
+    _signs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def signs(self, case: MainLemmaCase) -> SignNormalization:
+        """``normalize_signs(self, case)``, computed once per table and case."""
+        if case not in self._signs:
+            self._signs[case] = normalize_signs(self, case)
+        return self._signs[case]
 
     def get(self, alpha: Root, beta: Root, i: int, j: int) -> int:
         return self.entries[(alpha, beta, i, j)]

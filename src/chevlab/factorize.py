@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import SignNormalization, compute_table, normalize_signs
+from .constants import compute_table
 from .reps import (
     GroupElement,
     PeelError,
@@ -45,7 +45,7 @@ from .words import (
     commutator,
     conj_word,
     evaluate,
-    evaluate_stack,
+    letter_stack_product,
     validate_certificate,
     x_word,
     z_word,
@@ -245,7 +245,7 @@ def main_lemma_word(
         return CertifiedFactorization(target, (), case, alpha)
 
     ideal_ij = ideal_i.product(ideal_j)
-    signs = normalize_signs(compute_table(rep), case)
+    signs = compute_table(rep).signs(case)
     beta, gamma = signs.pair
     frame = RadicalFrame.for_root(alpha)
 
@@ -584,6 +584,11 @@ class LeviReport:
         return not self.violations
 
 
+# samples evaluated and peeled together; the stacks of one block bound the
+# check's memory whatever the sample count
+_LEVI_BLOCK = 4096
+
+
 def levi_commutator_check(
     parabolic: ParabolicData,
     ideal_i: Ideal,
@@ -596,11 +601,12 @@ def levi_commutator_check(
     """Sample pairs (l, u) from the Levi and radical congruence pieces and
     confirm each commutator lands in the radical at level I*J.
 
-    The commutators are evaluated as one stack (``evaluate_stack``) and
-    peeled over the radical roots all at once
-    (``unipotent_coordinates_stack``).  A sample whose peeled residual is
-    not the identity is recorded as outside the radical; otherwise each of
-    its coordinates outside IJ is recorded with its root.
+    The samples run in blocks of ``_LEVI_BLOCK``.  Each block's commutators
+    are drawn as runs of letters (``levi_sample_letters``), evaluated as one
+    stack (``letter_stack_product``) and peeled over the radical roots all
+    at once (``unipotent_coordinates_stack``).  A sample whose peeled
+    residual is not the identity is recorded as outside the radical;
+    otherwise each of its coordinates outside IJ is recorded with its root.
     """
     if ring.kind != "Zn":
         raise InfiniteRing("the sampled check needs a finite ring")
@@ -608,48 +614,87 @@ def levi_commutator_check(
         raise FactorizationError(f"the sampled Levi check needs at least one sample, got {samples}")
     rep = get_representation(parabolic.system.type_tag)
     radical = parabolic.U_minus_roots if minus_side else parabolic.U_roots
-    alpha_r = parabolic.levi_roots[0]
     ideal_ij = ideal_i.product(ideal_j)
     n = ring.modulus
-    (d_i,), (d_j,) = ideal_i.gens, ideal_j.gens
-
-    # the k-th ideal element d*k, drawn without listing all n/d of them; the
-    # draw consumes the random stream exactly as rng.choice on that list
-    def draw(rng, d):
-        return ring.element(d * rng.randrange(n // d))
-
-    def sample(idx: int) -> Word:
-        rng = random.Random(seed * 1_000_003 + idx)
-        l_letters = []
-        for _ in range(rng.randint(0, 4)):
-            root = alpha_r if rng.random() < 0.5 else -alpha_r
-            l_letters.extend(
-                z_word(root, draw(rng, d_i), ring.element(rng.randrange(n))).letters
-            )
-        u_letters = []
-        for _ in range(rng.randint(0, 4)):
-            u_letters.extend(
-                x_word(rng.choice(radical), draw(rng, d_j)).letters
-            )
-        return commutator(Word(tuple(l_letters)), Word(tuple(u_letters)))
-
-    stack = evaluate_stack(map(sample, range(samples)), rep, ring)
-    stack_coords, peeled = unipotent_coordinates_stack(stack, rep, list(radical), n)
-    outside_ij = {
-        t for t in np.unique(stack_coords).tolist() if not ideal_ij.contains(ring.element(t))
-    }
-    clean = peeled & ~np.isin(stack_coords, list(outside_ij)).any(axis=1)
 
     violations = []
-    for idx in np.flatnonzero(~clean).tolist():
-        if not peeled[idx]:
-            violations.append({"sample": idx, "reason": "outside the radical"})
-            continue
-        for root, t in zip(radical, stack_coords[idx].tolist()):
-            if t in outside_ij:
-                violations.append(
-                    {"sample": idx, "root": root.name, "coefficient": str(ring.element(t))}
-                )
+    for start in range(0, samples, _LEVI_BLOCK):
+        indices = range(start, min(start + _LEVI_BLOCK, samples))
+        letters = levi_sample_letters(parabolic, ideal_i, ideal_j, ring, indices, seed, minus_side)
+        stack = letter_stack_product(*letters, rep, n)
+        stack_coords, peeled = unipotent_coordinates_stack(stack, rep, list(radical), n)
+        outside_ij = {
+            t for t in np.unique(stack_coords).tolist() if not ideal_ij.contains(ring.element(t))
+        }
+        clean = peeled & ~np.isin(stack_coords, list(outside_ij)).any(axis=1)
+        for k in np.flatnonzero(~clean).tolist():
+            idx = start + k
+            if not peeled[k]:
+                violations.append({"sample": idx, "reason": "outside the radical"})
+                continue
+            for root, t in zip(radical, stack_coords[k].tolist()):
+                if t in outside_ij:
+                    violations.append(
+                        {"sample": idx, "root": root.name, "coefficient": str(ring.element(t))}
+                    )
     return LeviReport(
         parabolic.system.type_tag, parabolic.r, minus_side, samples, violations, seed
     )
+
+
+def levi_sample_letters(
+    parabolic: ParabolicData,
+    ideal_i: Ideal,
+    ideal_j: Ideal,
+    ring: Ring,
+    indices: range,
+    seed: int = 0,
+    minus_side: bool = False,
+) -> tuple[list[int], list[int], list[int]]:
+    """The commutators [l, u] of the Levi samples with the given indices,
+    as runs of letters for ``letter_stack_product``: root indices into
+    ``system.roots``, residues mod n, and where each sample's run ends.
+
+    Sample idx draws from ``random.Random(seed * 1_000_003 + idx)``: l is
+    0 to 4 letters z_g(xi, eta) with g = +-alpha_r, xi in I and eta in R,
+    and u is 0 to 4 letters x_b(c) with b a radical root and c in J.  An
+    ideal element d*k is drawn as k = randrange(n / d), which consumes the
+    stream exactly as a choice from the list of all n / d of them.  A z
+    letter is written as x_{-g}(eta) x_g(xi) x_{-g}(-eta), and [l, u] as
+    the letters of l, then u, then those of l and of u reversed with
+    negated residues.  Nothing cancels letters: the runs are longer than
+    the freely reduced words but have the same values.
+    """
+    n = ring.modulus
+    index = {root: k for k, root in enumerate(parabolic.system.roots)}
+    radical = parabolic.U_minus_roots if minus_side else parabolic.U_roots
+    radical = [index[root] for root in radical]
+    alpha_r = parabolic.levi_roots[0]
+    plus, minus = index[alpha_r], index[-alpha_r]
+    (d_i,), (d_j,) = ideal_i.gens, ideal_j.gens
+    span_i, span_j = n // d_i, n // d_j
+
+    roots, coeffs, ends = [], [], []
+    for idx in indices:
+        rng = random.Random(seed * 1_000_003 + idx)
+        l_roots, l_coeffs = [], []
+        for _ in range(rng.randint(0, 4)):
+            g, h = (plus, minus) if rng.random() < 0.5 else (minus, plus)
+            xi = d_i * rng.randrange(span_i)
+            eta = rng.randrange(n)
+            l_roots += (h, g, h)
+            l_coeffs += (eta, xi, -eta % n)
+        u_roots, u_coeffs = [], []
+        for _ in range(rng.randint(0, 4)):
+            u_roots.append(rng.choice(radical))
+            u_coeffs.append(d_j * rng.randrange(span_j))
+        roots += l_roots
+        roots += u_roots
+        roots += reversed(l_roots)
+        roots += reversed(u_roots)
+        coeffs += l_coeffs
+        coeffs += u_coeffs
+        coeffs += [-c % n for c in reversed(l_coeffs)]
+        coeffs += [-c % n for c in reversed(u_coeffs)]
+        ends.append(len(roots))
+    return roots, coeffs, ends

@@ -33,8 +33,10 @@ product.  Every such matrix has the dtype of ``Representation.np_dtype``:
 int64 while it holds a product of two residue matrices, Python ints
 (object) past that, so one product ``(a @ b) % n`` serves every modulus.
 ``Representation.x_stack`` builds many letters at once from the same index
-as one (m, d, d) array per block; ``words.evaluate_stack`` multiplies such
-stacks position by position.
+as one (m, d, d) array per block; ``words.letter_stack_product`` multiplies
+such stacks position by position, for runs of letters given as root
+indices and residues (read off words by ``words.evaluate_stack``, or drawn
+directly by the Levi sampler).
 
 ``unipotent_coordinates`` peels an element root by root, and
 ``unipotent_coordinates_stack`` a stack of them.  Each root's coordinate is

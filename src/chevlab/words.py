@@ -4,8 +4,11 @@ certificates.
 Words store symbols, never matrices, so one factorization can be evaluated
 over many coefficient rings.  A word evaluates as one flat product of its
 elementary letters, with z symbols and conjugates expanded in place.  Over
-Z/n, ``evaluate_stack`` evaluates many words together: the k-th letters of
-all of them are applied as one batched numpy product.  Evaluations are not
+Z/n, ``letter_stack_product`` multiplies many runs of letters, given as
+root indices and residues, together: the k-th letters of all of them are
+applied as one batched numpy product.  ``evaluate_stack`` reads words into
+such runs; a caller that draws its letters directly, as the Levi sampler
+does, feeds the runs in with no words built.  Evaluations are not
 cached; a certificate check whose predicted word is the certified word
 itself skips both evaluations.
 
@@ -216,14 +219,11 @@ def evaluate_stack(words: Iterable[Word], rep: Representation, ring: Ring) -> tu
 
     Each word is read into the root indices and coefficients of its
     elementary letters as the iterable yields it, so the words need not be
-    held together.  Position k of every word is then applied at once, one
-    batched product per block; a word shorter than the longest is padded
-    with x(0) = 1.
+    held together; ``letter_stack_product`` then multiplies the letters.
     """
     if ring.kind != "Zn":
         raise InfiniteRing(f"stacked evaluation needs a ring Z/n, not {ring}")
     index = rep._root_index
-    # all letters in one flat run, word w's ending at ends[w]
     roots, coeffs, ends = [], [], []
     for word in words:
         for sym in _elementary(word.letters, ring):
@@ -232,7 +232,21 @@ def evaluate_stack(words: Iterable[Word], rep: Representation, ring: Ring) -> tu
             roots.append(index[sym.root])
             coeffs.append(sym.coeff.payload)
         ends.append(len(roots))
-    n, dtype = ring.modulus, rep.np_dtype(ring.modulus)
+    return letter_stack_product(roots, coeffs, ends, rep, ring.modulus)
+
+
+def letter_stack_product(
+    roots: list[int], coeffs: list[int], ends: list[int], rep: Representation, n: int
+) -> tuple[np.ndarray, ...]:
+    """The products over Z/n of many runs of letters x_root(coeff), one
+    (len(ends), d, d) array of residues per block.
+
+    All runs are one flat sequence of letters, run w ending at ends[w];
+    roots index ``rep.system.roots`` and coeffs are residues mod n.
+    Position k of every run is applied at once, one batched product per
+    block; a run shorter than the longest is padded with x(0) = 1.
+    """
+    dtype = rep.np_dtype(n)
     ends = np.array(ends, dtype=np.intp)
     lengths = np.diff(ends, prepend=0)
     owner = np.repeat(np.arange(len(ends)), lengths)

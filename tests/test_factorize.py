@@ -1,8 +1,10 @@
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from chevlab import constants, factorize
 from chevlab.factorize import (
     CaseMismatch,
     ConditionStar,
@@ -12,6 +14,7 @@ from chevlab.factorize import (
     ResidueFieldF2,
     condition_star,
     levi_commutator_check,
+    levi_sample_letters,
     long_root_decomposition,
     long_word_factor_count,
     main_lemma_word,
@@ -19,11 +22,12 @@ from chevlab.factorize import (
     relative_generators,
     unit_decompose,
 )
+from chevlab.constants import compute_table
 from chevlab.reps import get_representation
 from chevlab.rings import Ideal, Ring, enumerate_elements
 from chevlab.roots import MainLemmaCase, get_system
 from chevlab.subgroups import BoundExceeded
-from levi_oracle import levi_check_by_samples
+from levi_oracle import levi_check_by_samples, levi_sample_words
 from chevlab.words import (
     LICENSED_TAGS,
     ConjSym,
@@ -35,6 +39,8 @@ from chevlab.words import (
     XSym,
     certificate_tags,
     evaluate,
+    evaluate_stack,
+    letter_stack_product,
 )
 
 SYMBOLIC = Ring.polynomial(Ring.integers(), ("xi", "zeta", "eta"))
@@ -78,6 +84,27 @@ def test_main_lemma_finite_ring_c2():
                 for eta in enumerate_elements(ring):
                     fact = main_lemma_word(case, xi, zeta, eta, ideal, ideal)
                     assert fact.verify(rep, ring, ideal, ideal)
+
+
+def test_main_lemma_signs_kept_per_table_and_case(monkeypatch):
+    calls = []
+    normalize = constants.normalize_signs
+    monkeypatch.setattr(
+        constants, "normalize_signs", lambda table, case: calls.append(case) or normalize(table, case)
+    )
+    ring = Ring.mod(9)
+    ideal = Ideal.of(ring, [3])
+    three, six = ring.element(3), ring.element(6)
+    for case in (MainLemmaCase.C2_LONG, MainLemmaCase.C2_SHORT):
+        for xi in (three, six):
+            main_lemma_word(case, xi, three, ring.one, ideal, ideal)
+    # at most once per case, whatever ran before in this process
+    assert len(calls) == len(set(calls)) <= 2
+    # a table built anew, as after compute_table.cache_clear(), computes them anew
+    table = compute_table(get_representation("C2"))
+    before = len(calls)
+    assert replace(table).signs(MainLemmaCase.C2_LONG) == table.signs(MainLemmaCase.C2_LONG)
+    assert calls[before:] == [MainLemmaCase.C2_LONG]
 
 
 def _perturb_first_letter(word):
@@ -339,15 +366,16 @@ def test_stacked_levi_check_matches_sample_oracle(tag, n, i, j):
     assert all(report.passed for report in reports)
 
 
+def _drop_first(p):
+    # a radical without its first root: samples with that coordinate do not peel
+    return replace(p, U_roots=p.U_roots[1:], U_minus_roots=p.U_minus_roots[1:])
+
+
 @pytest.mark.parametrize("tag, n, i, j", [LEVI_CASES[0], LEVI_CASES[3], LEVI_CASES[6], LEVI_CASES[7]])
 def test_stacked_levi_records_match_oracle_outside_the_radical(tag, n, i, j):
-    # a radical without its first root: samples with that coordinate do not peel
-    def drop_first(p):
-        return replace(p, U_roots=p.U_roots[1:], U_minus_roots=p.U_minus_roots[1:])
-
     samples = 12 if tag == "G2" else 40
-    reports = _levi_reports(levi_commutator_check, tag, n, i, j, samples, drop_first)
-    assert reports == _levi_reports(levi_check_by_samples, tag, n, i, j, samples, drop_first)
+    reports = _levi_reports(levi_commutator_check, tag, n, i, j, samples, _drop_first)
+    assert reports == _levi_reports(levi_check_by_samples, tag, n, i, j, samples, _drop_first)
     records = [v for report in reports for v in report.violations]
     assert records and all(v["reason"] == "outside the radical" for v in records)
     assert all(len(report.violations) < samples for report in reports)
@@ -362,6 +390,52 @@ def test_stacked_levi_records_match_oracle_outside_ij(tag, n, i, j, monkeypatch)
     assert reports == _levi_reports(levi_check_by_samples, tag, n, i, j, samples)
     records = [v for report in reports for v in report.violations]
     assert records and all(set(v) == {"sample", "root", "coefficient"} for v in records)
+
+
+@pytest.mark.parametrize("tag, n, i, j", LEVI_CASES, ids=[f"{c[0]}-Z{c[1]}" for c in LEVI_CASES])
+def test_levi_sample_letters_match_oracle_words(tag, n, i, j):
+    # every sample, passing or not, has the value of the oracle's freely
+    # reduced word, also for a run of indices that starts inside the stream
+    ring = Ring.mod(n)
+    ideal_i, ideal_j = Ideal.of(ring, [i]), Ideal.of(ring, [j])
+    rep = get_representation(tag)
+    samples = 12 if tag == "G2" else 40
+    for r in (1, 2):
+        p = ParabolicData.for_simple(get_system(tag), r)
+        for minus in (False, True):
+            words = list(levi_sample_words(p, ideal_i, ideal_j, ring, samples, 7, minus))
+            for indices in (range(samples), range(5, samples - 3)):
+                letters = levi_sample_letters(p, ideal_i, ideal_j, ring, indices, 7, minus)
+                got = letter_stack_product(*letters, rep, n)
+                want = evaluate_stack(words[indices.start:indices.stop], rep, ring)
+                for a, b in zip(got, want, strict=True):
+                    assert a.dtype == b.dtype == rep.np_dtype(n)
+                    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("tag, n, i, j", [LEVI_CASES[0], LEVI_CASES[3], LEVI_CASES[6], LEVI_CASES[7]])
+def test_levi_blocks_match_oracle(tag, n, i, j, monkeypatch):
+    # blocks of 3 samples: no stack holds more, and the records of every
+    # block keep their global sample indices
+    sizes = []
+
+    def spy(roots, coeffs, ends, rep, n):
+        sizes.append(len(ends))
+        return letter_stack_product(roots, coeffs, ends, rep, n)
+
+    monkeypatch.setattr(factorize, "_LEVI_BLOCK", 3)
+    monkeypatch.setattr(factorize, "letter_stack_product", spy)
+    samples = 12 if tag == "G2" else 40
+    for parabolic in (lambda p: p, _drop_first):
+        reports = _levi_reports(levi_commutator_check, tag, n, i, j, samples, parabolic)
+        assert reports == _levi_reports(levi_check_by_samples, tag, n, i, j, samples, parabolic)
+    assert max(sizes) == 3 and sum(sizes) == 2 * 4 * samples
+    assert max(v["sample"] for report in reports for v in report.violations) >= 3
+    # IJ taken as the zero ideal: every nonzero coordinate is a violation
+    monkeypatch.setattr(Ideal, "product", lambda self, other: Ideal.of(self.ring, [0]))
+    reports = _levi_reports(levi_commutator_check, tag, n, i, j, samples)
+    assert reports == _levi_reports(levi_check_by_samples, tag, n, i, j, samples)
+    assert max(v["sample"] for report in reports for v in report.violations) >= 3
 
 
 def test_levi_check_never_lists_ideal_elements(monkeypatch):
