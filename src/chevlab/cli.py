@@ -18,9 +18,11 @@ import hashlib
 import json
 import sys
 import time
+from itertools import islice
 
-from .constants import compute_table, constants_magnitudes, normalize_signs
+from .constants import compute_table, constants_magnitudes
 from .factorize import (
+    STACK_BLOCK,
     CertifiedFactorization,
     ParabolicData,
     condition_star,
@@ -28,13 +30,15 @@ from .factorize import (
     long_root_decomposition,
     long_word_factor_count,
     main_lemma_word,
+    main_lemma_words,
     unit_decompose,
+    verify_factorizations,
 )
 from .reps import get_representation, verify_steinberg
 from .rings import Ideal, Ring, RingError, enumerate_elements, parse_ideal, parse_ring
 from .roots import MainLemmaCase, RootSystemError, get_system
 from .subgroups import DEFAULT_ELEMENT_BOUND, verify_theorem
-from .words import certificate_to_json, evaluate, word_to_sexpr
+from .words import certificate_to_json, evaluate_all, word_to_sexpr, x_word
 
 SYSTEMS = ("A2", "C2", "G2")
 STATEMENTS = ("T1", "T2", "T3", "O1", "O2")
@@ -94,7 +98,7 @@ def task_verify_chevalley(args: dict) -> tuple[dict, bool]:
     cases = [c for c in MainLemmaCase if c.system_tag == tag]
     displays = {}
     for case in cases:
-        sn = normalize_signs(table, case)
+        sn = table.signs(case)
         displays[case.value] = {
             "pair": [sn.pair[0].name, sn.pair[1].name],
             "constants": [
@@ -123,6 +127,11 @@ def _symbolic_main_lemma(case: MainLemmaCase) -> tuple[CertifiedFactorization, b
 
 
 def task_verify_main_lemma(args: dict) -> tuple[dict, bool]:
+    """Over a ring Z/n, every triple (xi, zeta, eta) of I x J x R is
+    factored and verified.  Each xi's pairs (zeta, eta) are taken in blocks
+    of ``STACK_BLOCK``: ``main_lemma_words`` factors a block, and
+    ``verify_factorizations`` checks it.  Failures are listed in the order
+    of the triples.  Without a ring the case is checked symbolically."""
     case = args["case"]
     if "ring" in args:
         rep = get_representation(case.system_tag)
@@ -130,11 +139,15 @@ def task_verify_main_lemma(args: dict) -> tuple[dict, bool]:
         checked = 0
         failures = []
         for xi in ideal_i.element_values():
-            for zeta in ideal_j.element_values():
-                for eta in enumerate_elements(ring):
-                    fact = main_lemma_word(case, xi, zeta, eta, ideal_i, ideal_j)
-                    checked += 1
-                    if not fact.verify(rep, ring, ideal_i, ideal_j):
+            pairs = (
+                (zeta, eta) for zeta in ideal_j.element_values() for eta in enumerate_elements(ring)
+            )
+            while block := list(islice(pairs, STACK_BLOCK)):
+                facts = main_lemma_words(case, xi, block, ideal_i, ideal_j)
+                checked += len(block)
+                verdicts = verify_factorizations(facts, rep, ring, ideal_i, ideal_j)
+                for (zeta, eta), ok in zip(block, verdicts):
+                    if not ok:
                         failures.append([str(xi), str(zeta), str(eta)])
         result = {
             "case": case.value,
@@ -163,12 +176,17 @@ def _long_root_words(tag: str, ring: Ring, ideal: Ideal, values) -> list[tuple]:
     """(root, xi, word, verdict) for every short root and every xi in values:
     the long-root word of x_root(xi) and whether it evaluates to it."""
     rep = get_representation(tag)
-    rows = []
-    for beta in get_system(tag).short_roots:
-        for xi in values:
-            word = long_root_decomposition(beta, xi, ideal, ring)
-            rows.append((beta, xi, word, evaluate(word, rep, ring) == rep.x(beta, xi)))
-    return rows
+    cells = [
+        (beta, xi, long_root_decomposition(beta, xi, ideal, ring))
+        for beta in get_system(tag).short_roots
+        for xi in values
+    ]
+    words = [word for _, _, word in cells] + [x_word(beta, xi) for beta, xi, _ in cells]
+    got = evaluate_all(words, rep, ring)
+    return [
+        (beta, xi, word, value == want)
+        for (beta, xi, word), value, want in zip(cells, got, got[len(cells):])
+    ]
 
 
 def task_verify_long_root(args: dict) -> tuple[dict, bool]:

@@ -8,6 +8,16 @@ predicted leading factor, re-expressed in unipotent coordinates, and its
 level is then asserted.  The resulting identity is checked by evaluation,
 so it holds over whatever coefficient ring the inputs live in; run over
 Z[xi, zeta, eta] with ideals (xi), (zeta) it holds universally.
+
+Over a ring Z/n the lemma is checked for every triple of I x J x R, many
+pairs (zeta, eta) to each xi.  ``main_lemma_words`` factors one xi's pairs
+together: what depends on xi alone (the signs, the expansion's tails and
+its identity, the residual bases and their inverses) is done once, and the
+z_a(zeta, eta) of all pairs and their inverses are evaluated as one stack.
+``verify_factorizations`` evaluates the targets and the factor products of
+many factorizations as one stack too.  ``main_lemma_word`` and
+``CertifiedFactorization.verify`` are their one-element cases, which the
+symbolic check runs.
 """
 from __future__ import annotations
 
@@ -42,9 +52,10 @@ from .words import (
     LevelElement,
     ProductOf,
     Word,
+    XSym,
     commutator,
     conj_word,
-    evaluate,
+    evaluate_all,
     letter_stack_product,
     validate_certificate,
     x_word,
@@ -205,14 +216,32 @@ class CertifiedFactorization:
 
     def verify(self, rep: Representation, ring: Ring, ideal_i: Ideal, ideal_j: Ideal) -> bool:
         """The target equals the product of the factors, and each factor's
-        certificate holds."""
-        product = Word(tuple(sym for word, _ in self.factors for sym in word.letters))
-        if evaluate(self.target, rep, ring) != evaluate(product, rep, ring):
-            return False
-        return all(
+        certificate holds: ``verify_factorizations`` of this one."""
+        (ok,) = verify_factorizations([self], rep, ring, ideal_i, ideal_j)
+        return ok
+
+
+def verify_factorizations(
+    facts: list[CertifiedFactorization],
+    rep: Representation,
+    ring: Ring,
+    ideal_i: Ideal,
+    ideal_j: Ideal,
+) -> list[bool]:
+    """For each factorization, whether its target equals the product of its
+    factors and each factor's certificate holds.  The targets and the
+    products are evaluated together (``evaluate_all``); the certificates of
+    a factorization whose values differ are not checked."""
+    products = [Word(tuple(sym for word, _ in f.factors for sym in word.letters)) for f in facts]
+    values = evaluate_all([f.target for f in facts] + products, rep, ring)
+    return [
+        target == product
+        and all(
             validate_certificate(cert, word, ideal_i, ideal_j, rep, ring)
-            for word, cert in self.factors
+            for word, cert in f.factors
         )
+        for f, target, product in zip(facts, values, values[len(facts):])
+    ]
 
 
 def main_lemma_word(
@@ -224,7 +253,9 @@ def main_lemma_word(
     ideal_j: Ideal | None = None,
 ) -> CertifiedFactorization:
     """Factor [x_a(xi), z_a(zeta, eta)] into certified members of the
-    mixed commutator subgroup, following the case's rewriting recipe."""
+    mixed commutator subgroup, following the case's rewriting recipe: the
+    one-pair case of ``main_lemma_words``, with the ideals (xi) and (zeta)
+    unless given."""
     ring = xi.ring
     if zeta.ring != ring or eta.ring != ring:
         raise FactorizationError("coefficients must share one ring")
@@ -232,17 +263,49 @@ def main_lemma_word(
         ideal_i = Ideal.of(ring, [xi])
     if ideal_j is None:
         ideal_j = Ideal.of(ring, [zeta])
+    (fact,) = main_lemma_words(case, xi, [(zeta, eta)], ideal_i, ideal_j)
+    return fact
+
+
+def main_lemma_words(
+    case: MainLemmaCase,
+    xi: RingElement,
+    pairs: list[tuple[RingElement, RingElement]],
+    ideal_i: Ideal,
+    ideal_j: Ideal,
+) -> list[CertifiedFactorization]:
+    """Factor [x_a(xi), z_a(zeta, eta)] for each pair (zeta, eta), in order.
+
+    Everything that depends on xi alone is done once, and only when some
+    pair is nontrivial: the normalized signs and the expansion's tails, the
+    expansion identity, which is asserted, and the values of the residual
+    bases and of their inverses.  The z_a(zeta, eta) of the nontrivial
+    pairs and their inverses are evaluated together (``evaluate_all``);
+    each pair's residues are then split off, peeled and level-checked on
+    their own.  A bad pair raises what ``main_lemma_word`` raises for it.
+    """
+    ring = xi.ring
+    for zeta, eta in pairs:
+        if zeta.ring != ring or eta.ring != ring:
+            raise FactorizationError("coefficients must share one ring")
     if not ideal_i.contains(xi):
         raise FactorizationError("xi must lie in the first ideal")
-    if not ideal_j.contains(zeta):
-        raise FactorizationError("zeta must lie in the second ideal")
+    for zeta, _ in pairs:
+        if not ideal_j.contains(zeta):
+            raise FactorizationError("zeta must lie in the second ideal")
     rep = get_representation(case.system_tag)
     alpha = canonical_case_root(case)
     if case.alpha_is_long != rep.system.is_long(alpha):
         raise CaseMismatch(f"{alpha.name} vs case {case.value}")
-    target = commutator(x_word(alpha, xi), z_word(alpha, zeta, eta))
-    if xi.is_zero or zeta.is_zero or eta.is_zero:
-        return CertifiedFactorization(target, (), case, alpha)
+    x_alpha = x_word(alpha, xi)
+    targets = [commutator(x_alpha, z_word(alpha, zeta, eta)) for zeta, eta in pairs]
+    facts = [CertifiedFactorization(target, (), case, alpha) for target in targets]
+    live = [
+        k for k, (zeta, eta) in enumerate(pairs)
+        if not (xi.is_zero or zeta.is_zero or eta.is_zero)
+    ]
+    if not live:
+        return facts
 
     ideal_ij = ideal_i.product(ideal_j)
     signs = compute_table(rep).signs(case)
@@ -270,23 +333,38 @@ def main_lemma_word(
     alpha_u = x_word(alpha, signs.sign(alpha) * u)  # evaluates to x_alpha(-xi)
 
     # sanity: the carried-over expansion identity must hold exactly
-    lhs = evaluate(commutator(gamma_one, beta_u), rep, ring)
-    rhs = evaluate(t_left * alpha_u * t_right, rep, ring)
+    lhs, rhs = evaluate_all(
+        [commutator(gamma_one, beta_u), t_left * alpha_u * t_right], rep, ring
+    )
     if lhs != rhs:
         raise SignMismatch(f"{case.value}: normalized expansion identity failed")
 
-    z_mat = evaluate(z_word(alpha, zeta, eta), rep, ring)
-    z_inv = evaluate(z_word(alpha, zeta, eta).inverse(), rep, ring)
+    def tail_side(letters) -> tuple[Root, ...]:
+        roots = [sym.root for w in letters for sym in w.letters]
+        side = frame.side_of(roots[0])
+        if any(r not in side for r in roots):
+            raise SignMismatch(f"{case.value}: tail straddles the {alpha.name} axis")
+        return side
 
-    def residual(base: Word, side: tuple[Root, ...], left: bool, level: Ideal, what: str) -> Word:
-        if base.is_empty:
-            return Word(())
-        base_mat = evaluate(base, rep, ring)
+    # the residual bases by name: the base, the side its residue peels over,
+    # whether the residue is split off on the left, and its level
+    bases = {
+        "gamma": (gamma_one, frame.side_of(gamma), False, ideal_j),
+        "beta": (beta_u, frame.side_of(beta), False, ideal_ij),
+    }
+    if not t_left.is_empty:
+        bases["left tail"] = (t_left.inverse(), tail_side(left_letters), True, ideal_ij)
+    if not t_right.is_empty:
+        bases["right tail"] = (t_right.inverse(), tail_side(right_letters), False, ideal_ij)
+    words = [base for base, *_ in bases.values()]
+    values = evaluate_all(words + [base.inverse() for base in words], rep, ring)
+    base_values = dict(zip(bases, zip(values, values[len(words):])))
+
+    def residual(z_mat: GroupElement, z_inv: GroupElement, what: str) -> Word:
+        _, side, left, level = bases[what]
+        base_mat, base_inv = base_values[what]
         conj = z_mat * base_mat * z_inv
-        if left:
-            mat = conj * evaluate(base.inverse(), rep, ring)
-        else:
-            mat = evaluate(base.inverse(), rep, ring) * conj
+        mat = conj * base_inv if left else base_inv * conj
         try:
             coords = unipotent_coordinates(mat, list(side))
         except PeelError as exc:
@@ -300,58 +378,46 @@ def main_lemma_word(
                     f"{case.value}: {what} residue coefficient {c} at "
                     f"{root.name} is not of level {level}"
                 )
-            letters.append(x_word(root, c))
-        return Word(tuple(sym for w in letters for sym in w.letters))
+            letters.append(XSym(root, c))
+        return Word(tuple(letters))
 
-    def tail_side(letters) -> tuple[Root, ...]:
-        roots = [sym.root for w in letters for sym in w.letters]
-        side = frame.side_of(roots[0])
-        if any(r not in side for r in roots):
-            raise SignMismatch(f"{case.value}: tail straddles the {alpha.name} axis")
-        return side
+    z_words = [z_word(alpha, *pairs[k]) for k in live]
+    z_values = evaluate_all(z_words + [w.inverse() for w in z_words], rep, ring)
+    for k, z_mat, z_inv in zip(live, z_values, z_values[len(live):]):
+        res = {what: residual(z_mat, z_inv, what) for what in bases}
+        w_res, v_res = res["gamma"], res["beta"]
+        z_l = res.get("left tail", Word(()))
+        z_r = res.get("right tail", Word(()))
 
-    w_res = residual(gamma_one, frame.side_of(gamma), False, ideal_j, "gamma")
-    v_res = residual(beta_u, frame.side_of(beta), False, ideal_ij, "beta")
-    z_l = (
-        residual(t_left.inverse(), tail_side(left_letters), True, ideal_ij, "left tail")
-        if not t_left.is_empty
-        else Word(())
-    )
-    z_r = (
-        residual(t_right.inverse(), tail_side(right_letters), False, ideal_ij, "right tail")
-        if not t_right.is_empty
-        else Word(())
-    )
-
-    factors = []
-    if not z_l.is_empty:
-        by = x_word(alpha, xi)
-        factors.append(
-            (conj_word(z_l, by), ConjugateOf(LevelElement(ideal_ij), z_l, by))
-        )
-    bv = beta_u * v_res
-    core1 = commutator(w_res, bv)
-    if not core1.is_empty:
-        by = x_word(alpha, xi) * t_left.inverse() * gamma_one
-        factors.append(
-            (
-                conj_word(core1, by),
-                ConjugateOf(GenCommutator(w_res, bv, flipped=True), core1, by),
+        factors = []
+        if not z_l.is_empty:
+            factors.append(
+                (conj_word(z_l, x_alpha), ConjugateOf(LevelElement(ideal_ij), z_l, x_alpha))
             )
-        )
-    if not v_res.is_empty:
-        core2 = conj_word(v_res, gamma_one) * v_res.inverse()
-        cert2 = ProductOf(
-            (
-                (conj_word(v_res, gamma_one), ConjugateOf(LevelElement(ideal_ij), v_res, gamma_one)),
-                (v_res.inverse(), LevelElement(ideal_ij)),
+        bv = beta_u * v_res
+        core1 = commutator(w_res, bv)
+        if not core1.is_empty:
+            by = x_alpha * t_left.inverse() * gamma_one
+            factors.append(
+                (
+                    conj_word(core1, by),
+                    ConjugateOf(GenCommutator(w_res, bv, flipped=True), core1, by),
+                )
             )
-        )
-        by = t_right * beta_u
-        factors.append((conj_word(core2, by), ConjugateOf(cert2, core2, by)))
-    if not z_r.is_empty:
-        factors.append((z_r, LevelElement(ideal_ij)))
-    return CertifiedFactorization(target, tuple(factors), case, alpha)
+        if not v_res.is_empty:
+            core2 = conj_word(v_res, gamma_one) * v_res.inverse()
+            cert2 = ProductOf(
+                (
+                    (conj_word(v_res, gamma_one), ConjugateOf(LevelElement(ideal_ij), v_res, gamma_one)),
+                    (v_res.inverse(), LevelElement(ideal_ij)),
+                )
+            )
+            by = t_right * beta_u
+            factors.append((conj_word(core2, by), ConjugateOf(cert2, core2, by)))
+        if not z_r.is_empty:
+            factors.append((z_r, LevelElement(ideal_ij)))
+        facts[k] = CertifiedFactorization(targets[k], tuple(factors), case, alpha)
+    return facts
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +650,9 @@ class LeviReport:
         return not self.violations
 
 
-# samples evaluated and peeled together; the stacks of one block bound the
-# check's memory whatever the sample count
-_LEVI_BLOCK = 4096
+# the Levi samples, or the finite main lemma's (zeta, eta) pairs, evaluated
+# as one stack; it bounds a check's memory whatever the check's size
+STACK_BLOCK = 4096
 
 
 def levi_commutator_check(
@@ -601,7 +667,7 @@ def levi_commutator_check(
     """Sample pairs (l, u) from the Levi and radical congruence pieces and
     confirm each commutator lands in the radical at level I*J.
 
-    The samples run in blocks of ``_LEVI_BLOCK``.  Each block's commutators
+    The samples run in blocks of ``STACK_BLOCK``.  Each block's commutators
     are drawn as runs of letters (``levi_sample_letters``), evaluated as one
     stack (``letter_stack_product``) and peeled over the radical roots all
     at once (``unipotent_coordinates_stack``).  A sample whose peeled
@@ -618,8 +684,8 @@ def levi_commutator_check(
     n = ring.modulus
 
     violations = []
-    for start in range(0, samples, _LEVI_BLOCK):
-        indices = range(start, min(start + _LEVI_BLOCK, samples))
+    for start in range(0, samples, STACK_BLOCK):
+        indices = range(start, min(start + STACK_BLOCK, samples))
         letters = levi_sample_letters(parabolic, ideal_i, ideal_j, ring, indices, seed, minus_side)
         stack = letter_stack_product(*letters, rep, n)
         stack_coords, peeled = unipotent_coordinates_stack(stack, rep, list(radical), n)

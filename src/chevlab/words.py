@@ -5,12 +5,15 @@ Words store symbols, never matrices, so one factorization can be evaluated
 over many coefficient rings.  A word evaluates as one flat product of its
 elementary letters, with z symbols and conjugates expanded in place.  Over
 Z/n, ``letter_stack_product`` multiplies many runs of letters, given as
-root indices and residues, together: the k-th letters of all of them are
-applied as one batched numpy product.  ``evaluate_stack`` reads words into
-such runs; a caller that draws its letters directly, as the Levi sampler
-does, feeds the runs in with no words built.  Evaluations are not
-cached; a certificate check whose predicted word is the certified word
-itself skips both evaluations.
+root indices and residues, together: the k-th letters of all runs that
+long are applied as one batched numpy product.  ``evaluate_stack`` reads
+words into such runs; a caller that draws its letters directly, as the
+Levi sampler does, feeds the runs in with no words built.
+``evaluate_all`` gives many words' values as group elements: the rows of
+one stack over Z/n, ``evaluate`` word by word over exact rings.  It is the
+one place where the ring picks the evaluator.  Evaluations are not cached;
+a certificate check whose predicted word is the certified word itself
+skips both evaluations.
 
 Certificates are small proof trees whose leaves are checkable by ideal
 membership and congruence tests; the composite tags lean on the licensing
@@ -213,6 +216,15 @@ def evaluate(word: Word, rep: Representation, ring: Ring) -> GroupElement:
     return out
 
 
+def evaluate_all(words: Iterable[Word], rep: Representation, ring: Ring) -> list[GroupElement]:
+    """The values of many words, in order: over Z/n the rows of one
+    ``evaluate_stack``, each equal to what ``evaluate`` gives; over exact
+    rings ``evaluate`` of each word."""
+    if ring.kind != "Zn":
+        return [evaluate(word, rep, ring) for word in words]
+    return [GroupElement(rep, ring, "np", row) for row in zip(*evaluate_stack(words, rep, ring))]
+
+
 def evaluate_stack(words: Iterable[Word], rep: Representation, ring: Ring) -> tuple[np.ndarray, ...]:
     """The values of many words over Z/n at once, one (len(words), d, d)
     array of residues per block.
@@ -242,24 +254,32 @@ def letter_stack_product(
     (len(ends), d, d) array of residues per block.
 
     All runs are one flat sequence of letters, run w ending at ends[w];
-    roots index ``rep.system.roots`` and coeffs are residues mod n.
-    Position k of every run is applied at once, one batched product per
-    block; a run shorter than the longest is padded with x(0) = 1.
+    roots index ``rep.system.roots`` and coeffs are residues mod n.  The
+    runs are taken longest first, so that those with more than k letters
+    are a prefix: position k is applied to that prefix at once, one
+    batched product per block, and no run is padded.  The rows are put
+    back in the order of ends at the end.
     """
     dtype = rep.np_dtype(n)
     ends = np.array(ends, dtype=np.intp)
     lengths = np.diff(ends, prepend=0)
-    owner = np.repeat(np.arange(len(ends)), lengths)
+    order = np.argsort(-lengths, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    owner = np.repeat(rank, lengths)
     position = np.arange(len(roots)) - np.repeat(ends - lengths, lengths)
     root_table = np.zeros((len(ends), lengths.max(initial=0)), dtype=np.intp)
     coeff_table = np.zeros(root_table.shape, dtype=dtype)
     root_table[owner, position] = roots
     coeff_table[owner, position] = coeffs
+    # active[k]: how many runs have more than k letters
+    active = np.searchsorted(-lengths[order], -np.arange(root_table.shape[1]), side="left")
     out = tuple(np.tile(np.eye(d, dtype=dtype), (len(ends), 1, 1)) for d in rep.block_dims)
-    for k in range(root_table.shape[1]):
-        letters = rep.x_stack(root_table[:, k], coeff_table[:, k], n)
-        out = tuple((a @ b) % n for a, b in zip(out, letters))
-    return out
+    for k, m in enumerate(active.tolist()):
+        letters = rep.x_stack(root_table[:m, k], coeff_table[:m, k], n)
+        for block, letter in zip(out, letters):
+            block[:m] = (block[:m] @ letter) % n
+    return tuple(block[rank] for block in out)
 
 
 def _elementary(letters, ring: Ring):

@@ -185,6 +185,24 @@ def test_levi_report_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_LEVI_SHA256
 
 
+# The finite main lemma over C2: the benchmark's two cases over Z/27 and two
+# cases with nonzero residues, pinned the same way.
+PINNED_MAIN_LEMMA_TASKS = [
+    {"command": "verify-main-lemma", "params": {"case": "C2Long", "ring": "Z/27", "ideal_i": "9", "ideal_j": "9"}},
+    {"command": "verify-main-lemma", "params": {"case": "C2Short", "ring": "Z/27", "ideal_i": "9", "ideal_j": "9"}},
+    {"command": "verify-main-lemma", "params": {"case": "C2Short", "ring": "Z/9", "ideal_i": "3", "ideal_j": "1"}},
+    {"command": "verify-main-lemma", "params": {"case": "C2Long", "ring": "Z/25", "ideal_i": "5", "ideal_j": "5"}},
+]
+PINNED_MAIN_LEMMA_SHA256 = "ca3ffad641b083641a4b50f460d430c30c33687313358cfec20e88baa3a8310c"
+
+
+def test_finite_main_lemma_report_pinned():
+    report = run_campaign(PINNED_MAIN_LEMMA_TASKS, seed=1, with_timings=False)
+    assert [entry["status"] for entry in report["tasks"]] == ["ok"] * len(PINNED_MAIN_LEMMA_TASKS)
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_MAIN_LEMMA_SHA256
+
+
 def test_bound_exceeded_is_an_error_result():
     from chevlab import cli
 

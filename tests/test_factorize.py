@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chevlab import constants, factorize
+from chevlab import cli, constants, factorize, words
 from chevlab.factorize import (
     CaseMismatch,
     ConditionStar,
@@ -18,9 +18,11 @@ from chevlab.factorize import (
     long_root_decomposition,
     long_word_factor_count,
     main_lemma_word,
+    main_lemma_words,
     mixed_commutator_generators,
     relative_generators,
     unit_decompose,
+    verify_factorizations,
 )
 from chevlab.constants import compute_table
 from chevlab.reps import get_representation
@@ -28,6 +30,7 @@ from chevlab.rings import Ideal, Ring, enumerate_elements
 from chevlab.roots import MainLemmaCase, get_system
 from chevlab.subgroups import BoundExceeded
 from levi_oracle import levi_check_by_samples, levi_sample_words
+from main_lemma_oracle import main_lemma_by_triples, verify_one
 from chevlab.words import (
     LICENSED_TAGS,
     ConjSym,
@@ -117,19 +120,21 @@ def _perturb_first_letter(word):
     return Word((sym,) + word.letters[1:])
 
 
-def _wrong_certificates(cert):
-    """Certificates that differ from cert in one leaf, none of them valid."""
+def _wrong_certificates(cert, outside_ij=IDEAL_I, too_small=Ideal.of(SYMBOLIC, [XI * XI * ZETA * ZETA])):
+    """Certificates that differ from cert in one leaf, none of them valid:
+    outside_ij holds the level letters but is not inside IJ, and too_small
+    misses them."""
     if isinstance(cert, LevelElement):
-        yield LevelElement(IDEAL_I)  # holds the letters, but is not inside IJ
-        yield LevelElement(Ideal.of(SYMBOLIC, [XI * XI * ZETA * ZETA]))  # misses the letters
+        yield LevelElement(outside_ij)
+        yield LevelElement(too_small)
     elif isinstance(cert, GenCommutator):
         yield replace(cert, flipped=not cert.flipped)  # a's letters on the wrong side
     elif isinstance(cert, ConjugateOf):
-        for inner in _wrong_certificates(cert.inner):
+        for inner in _wrong_certificates(cert.inner, outside_ij, too_small):
             yield replace(cert, inner=inner)
     elif isinstance(cert, ProductOf):
         for k, (word, part) in enumerate(cert.parts):
-            for wrong in _wrong_certificates(part):
+            for wrong in _wrong_certificates(part, outside_ij, too_small):
                 yield ProductOf(cert.parts[:k] + ((word, wrong),) + cert.parts[k + 1:])
 
 
@@ -161,6 +166,179 @@ def test_wrong_factorizations_fail_verification(case):
         # nothing of a failed verification carries over to the next call
         assert verify(fact.factors)
         assert not verify(factors)
+
+
+def _finite(case, n, i, j):
+    ring = Ring.mod(n)
+    return MainLemmaCase.from_string(case), ring, Ideal.of(ring, [i]), Ideal.of(ring, [j])
+
+
+def test_wrong_finite_factorizations_fail_in_a_batch():
+    # C2Short over Z/9, (3),(1): the full factorizations have three factors,
+    # two level leaves among them.  One batch holds every pair of xi = 3;
+    # some of its factorizations are corrupted, each in one way.
+    case, ring, ideal_i, ideal_j = _finite("C2Short", 9, 3, 1)
+    rep = get_representation("C2")
+    zero = Ideal.of(ring, [0])
+    pairs = [(zeta, eta) for zeta in ideal_j.element_values() for eta in enumerate_elements(ring)]
+    facts = main_lemma_words(case, ring.element(3), pairs, ideal_i, ideal_j)
+    full = [k for k, fact in enumerate(facts) if len(fact.factors) == 3]
+    slots = iter(full)
+    batch = list(facts)
+    corrupted = set()
+
+    def corrupt(p, factor):
+        k = next(slots)
+        factors = list(facts[k].factors)
+        if factor is None:
+            del factors[p]
+        else:
+            factors[p] = factor(*factors[p])
+        batch[k] = replace(facts[k], factors=tuple(factors))
+        corrupted.add(k)
+
+    def wrong_certificate(t):
+        return lambda word, cert: (word, list(_wrong_certificates(cert, ideal_j, zero))[t])
+
+    for p, (_, cert) in enumerate(facts[full[0]].factors):
+        corrupt(p, None)  # one factor dropped
+        corrupt(p, lambda word, cert: (_perturb_first_letter(word), cert))
+        for t in range(len(list(_wrong_certificates(cert, ideal_j, zero)))):
+            corrupt(p, wrong_certificate(t))
+    assert len(corrupted) == 13
+    want = [k not in corrupted for k in range(len(batch))]
+    assert [verify_one(fact, rep, ring, ideal_i, ideal_j) for fact in batch] == want
+    assert verify_factorizations(batch, rep, ring, ideal_i, ideal_j) == want
+    # nothing of a failed batch carries over to the next call
+    assert all(verify_factorizations(facts, rep, ring, ideal_i, ideal_j))
+
+
+@pytest.mark.parametrize(
+    "zeta, eta",
+    [(1, 0), (2, 5), (3, "Z/27"), ("Z/27", 1)],
+    ids=["zeta-outside-J", "zeta-outside-J-live", "eta-other-ring", "zeta-other-ring"],
+)
+def test_main_lemma_words_bad_pair_raises_like_main_lemma_word(zeta, eta):
+    case, ring, ideal_i, ideal_j = _finite("C2Long", 9, 3, 3)
+    z27 = Ring.mod(27)
+    zeta = z27.element(3) if zeta == "Z/27" else ring.element(zeta)
+    eta = z27.one if eta == "Z/27" else ring.element(eta)
+    xi = ring.element(3)
+    with pytest.raises(FactorizationError) as want:
+        main_lemma_word(case, xi, zeta, eta, ideal_i, ideal_j)
+    good = [(ring.element(3), ring.one), (ring.element(6), ring.element(2))]
+    with pytest.raises(FactorizationError) as got:
+        main_lemma_words(case, xi, good + [(zeta, eta)] + good, ideal_i, ideal_j)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+# (case, n, I, J): the kernel workload's three finite cases, and cases with
+# nonzero residues
+FINITE_CASES = [
+    ("A2", 8, 2, 4),
+    ("A2", 12, 2, 3),
+    ("C2Long", 27, 9, 9),
+    ("C2Short", 27, 9, 9),
+    ("C2Short", 9, 3, 1),
+    ("C2Long", 25, 5, 5),
+    ("G2Short", 9, 3, 3),
+]
+
+
+def _finite_task_and_oracle(monkeypatch, case, n, i, j, block):
+    """The verify-main-lemma result and the oracle's, with the pairs taken
+    in blocks of the given size; the targets each side verified, in order,
+    must agree too."""
+    if block is not None:
+        monkeypatch.setattr(cli, "STACK_BLOCK", block)
+    verified = []
+
+    def spy(facts, *args):
+        verified.extend(fact.target for fact in facts)
+        return verify_factorizations(facts, *args)
+
+    monkeypatch.setattr(cli, "verify_factorizations", spy)
+    params = {"case": case, "ring": f"Z/{n}", "ideal_i": str(i), "ideal_j": str(j)}
+    args = cli.validate_task("verify-main-lemma", params)
+    got = cli.task_verify_main_lemma(args)
+    targets = []
+    want = main_lemma_by_triples(args["case"], args["ring"], args["ideal_i"], args["ideal_j"], targets)
+    assert verified == targets
+    return got, want
+
+
+@pytest.mark.parametrize("block", [3, None], ids=["block3", "default"])
+@pytest.mark.parametrize("case, n, i, j", FINITE_CASES, ids=[f"{c[0]}-Z{c[1]}-{c[2]}-{c[3]}" for c in FINITE_CASES])
+def test_finite_main_lemma_matches_triple_oracle(case, n, i, j, block, monkeypatch):
+    (result, ok), want = _finite_task_and_oracle(monkeypatch, case, n, i, j, block)
+    assert result == want
+    assert ok and not result["failures"]
+
+
+@pytest.mark.parametrize("block", [3, None], ids=["block3", "default"])
+@pytest.mark.parametrize("case", ["C2Short", "C2Long"])
+def test_finite_main_lemma_failures_match_triple_oracle(case, block, monkeypatch):
+    # every level leaf whose value has an entry sum divisible by 5 is taken
+    # as failing, in the task and in the oracle alike: the failures must be
+    # the same triples in the same order
+    level_test = words.congruence_level_test
+    monkeypatch.setattr(
+        words, "congruence_level_test",
+        lambda g, ideal: level_test(g, ideal) and sum(int(b.sum()) for b in g.blocks) % 5 != 0,
+    )
+    (result, ok), want = _finite_task_and_oracle(monkeypatch, case, 9, 3, 1, block)
+    assert result == want
+    assert not ok and 0 < len(result["failures"]) < result["triples_checked"]
+
+
+def test_finite_main_lemma_evaluates_no_word_per_triple(monkeypatch):
+    # z, its inverse, the targets and the products are evaluated as stacks,
+    # and what depends on xi alone once per xi: no scalar evaluation runs per
+    # triple but for the certificates' level leaves
+    calls = {"outside": 0, "in certificates": 0, "level leaves": 0, "stacks": 0}
+    inside = []
+    evaluate_word, validate, evaluate_stack_ = words.evaluate, words.validate_certificate, words.evaluate_stack
+
+    def counting_evaluate(*args):
+        calls["in certificates" if inside else "outside"] += 1
+        return evaluate_word(*args)
+
+    def counting_validate(cert, *args):
+        calls["level leaves"] += isinstance(cert, LevelElement)
+        inside.append(cert)
+        try:
+            return validate(cert, *args)
+        finally:
+            inside.pop()
+
+    def counting_stack(*args):
+        calls["stacks"] += 1
+        return evaluate_stack_(*args)
+
+    for name, fn in [
+        ("evaluate", counting_evaluate),
+        ("validate_certificate", counting_validate),
+        ("evaluate_stack", counting_stack),
+    ]:
+        for module in (words, factorize, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fn)
+    args = cli.validate_task(
+        "verify-main-lemma", {"case": "C2Short", "ring": "Z/9", "ideal_i": "3", "ideal_j": "1"}
+    )
+    result, ok = cli.task_verify_main_lemma(args)
+    assert ok and result["triples_checked"] == 243
+    size_i = len(args["ideal_i"].element_values())
+    assert calls["outside"] <= size_i
+    assert 0 < calls["in certificates"] <= calls["level leaves"]
+    # per xi and block: the expansion identity, the residual bases, z and
+    # its inverse, and the verification
+    assert calls["stacks"] <= 4 * size_i
+    # xi = 0 factors nothing, so it evaluates nothing
+    case, ring, ideal_i, ideal_j = _finite("C2Short", 9, 3, 1)
+    before = calls["stacks"]
+    facts = main_lemma_words(case, ring.zero, [(ring.one, ring.one)], ideal_i, ideal_j)
+    assert facts[0].factors == () and calls["stacks"] == before
 
 
 def test_unit_decompose_examples():
@@ -423,7 +601,7 @@ def test_levi_blocks_match_oracle(tag, n, i, j, monkeypatch):
         sizes.append(len(ends))
         return letter_stack_product(roots, coeffs, ends, rep, n)
 
-    monkeypatch.setattr(factorize, "_LEVI_BLOCK", 3)
+    monkeypatch.setattr(factorize, "STACK_BLOCK", 3)
     monkeypatch.setattr(factorize, "letter_stack_product", spy)
     samples = 12 if tag == "G2" else 40
     for parabolic in (lambda p: p, _drop_first):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from chevlab.factorize import main_lemma_word
-from chevlab.reps import GroupElement, congruence_level_test, get_representation
+from chevlab.reps import GroupElement, Representation, congruence_level_test, get_representation
 from chevlab.rings import Ideal, InfiniteRing, MixedRings, Ring
 from chevlab.roots import MainLemmaCase
 from chevlab.words import (
@@ -17,7 +17,9 @@ from chevlab.words import (
     commutator,
     conj_word,
     evaluate,
+    evaluate_all,
     evaluate_stack,
+    letter_stack_product,
     parse_word,
     validate_certificate,
     word_to_sexpr,
@@ -320,6 +322,58 @@ def test_evaluate_stack_matches_scalar_and_symbol_oracle(rep, ring):
     assert [block.shape for block in evaluate_stack([], rep, ring)] == [(0, d, d) for d in rep.block_dims]
     (only,) = zip(*evaluate_stack([Word(())], rep, ring))
     assert GroupElement(rep, ring, "np", only).is_identity
+
+
+# int64 and object moduli (C2 over Z/3e9, the G2 14-block over Z/(1e9+7))
+# and an exact ring, where each word is evaluated on its own
+@pytest.mark.parametrize(
+    "rep, ring",
+    [
+        (A2, Z8), (C2, Ring.mod(27)), (C2, Ring.mod(3_000_000_000)),
+        (G2, Ring.mod(9)), (G2, Ring.mod(1_000_000_007)), (C2, ZXZ),
+    ],
+    ids=["A2-Z8", "C2-Z27", "C2-Z3e9", "G2-Z9", "G2-Z1e9+7", "C2-Zxz"],
+)
+def test_evaluate_all_matches_evaluate(rep, ring):
+    rng = random.Random(13)
+    words = [_random_word(rng, rep, ring) for _ in range(6 if rep is G2 else 12)]
+    words = [Word(())] + words[:3] + [Word(()), words[3] * words[4]] + words[5:] + [Word(())]
+    got = evaluate_all(iter(words), rep, ring)
+    want = [evaluate(word, rep, ring) for word in words]
+    assert got == want
+    assert [value.backend for value in got] == [value.backend for value in want]
+    if ring.kind == "Zn":
+        dtype = rep.np_dtype(ring.modulus)
+        assert all(block.dtype == dtype for value in got for block in value.blocks)
+    assert evaluate_all([], rep, ring) == []
+
+
+def test_letter_stack_product_pads_no_run(monkeypatch):
+    # runs of 3, 0, 5, 1, 5 and 2 letters: position k is applied to the runs
+    # with more than k letters only, and the rows keep the order of the runs
+    sizes = []
+    x_stack = Representation.x_stack
+
+    def spy(self, roots, coeffs, n):
+        sizes.append(len(roots))
+        return x_stack(self, roots, coeffs, n)
+
+    monkeypatch.setattr(Representation, "x_stack", spy)
+    rng = random.Random(14)
+    z27 = Ring.mod(27)
+    runs = [
+        [(rng.randrange(len(C2.system.roots)), rng.randrange(27)) for _ in range(length)]
+        for length in (3, 0, 5, 1, 5, 2)
+    ]
+    flat = [letter for run in runs for letter in run]
+    ends = [sum(map(len, runs[: w + 1])) for w in range(len(runs))]
+    (stack,) = letter_stack_product([r for r, _ in flat], [c for _, c in flat], ends, C2, 27)
+    assert sizes == [5, 4, 3, 2, 2]
+    for run, value in zip(runs, stack, strict=True):
+        word = Word(tuple(
+            letter for r, c in run for letter in x_word(C2.system.roots[r], z27.element(c)).letters
+        ))
+        assert GroupElement(C2, z27, "np", (value,)) == evaluate(word, C2, z27)
 
 
 def test_evaluate_stack_checks_the_ring():
