@@ -6,13 +6,19 @@ checks, whose entries are multivariate polynomials.
 The representations themselves are built over plain Python ints in
 ``reps``; there is no second matrix layer here.
 
-Besides the full product, a matrix takes one letter x_a(c) on the right
-as column operations: ``times_one_plus`` computes M (1 + N) = M + M N for
-the few nonzeros of N = x_a(c) - 1.  A row of M that meets no row of N is
-kept as it is; every entry that changes is one ``Ring.sum_of_products``
-over its old value and its products with N.  The canonical key behind
-``==`` and ``hash`` is built on first use, since most products are only
-ever multiplied further.
+Besides the full product, a matrix takes one letter x_a(c) for the few
+nonzeros of N = x_a(c) - 1, on either side:
+
+* on the right as column operations: ``times_one_plus`` computes
+  M (1 + N) = M + M N, and a row of M that meets no row of N is kept;
+* on the left as row operations: ``one_plus_times`` computes
+  (1 + N) M = M + N M, reading N M off the old rows, and a row that N does
+  not touch is kept.
+
+A kept row is the same dict.  Every entry that changes is one
+``Ring.sum_of_products`` of its products with N, started at its old value.
+The canonical key behind ``==`` and ``hash`` is built on first use, since
+most products are only ever multiplied further.
 """
 from __future__ import annotations
 
@@ -72,7 +78,6 @@ class ExactMatrix:
         """self * (1 + N) for a sparse N over the same ring, given as
         {i: ((j, N_ij), ...)} with nonzero N_ij."""
         sum_of_products = self.ring.sum_of_products
-        one = self.ring.one
         out_rows = []
         for row in self.rows:
             changed: dict[int, list] = {}
@@ -81,20 +86,25 @@ class ExactMatrix:
                 if a is None:
                     continue
                 for j, n in cols:
-                    pairs = changed.get(j)
-                    if pairs is None:
-                        old = row.get(j)
-                        pairs = changed[j] = [] if old is None else [(old, one)]
-                    pairs.append((a, n))
+                    changed.setdefault(j, []).append((a, n))
             if changed:
-                row = dict(row)
-                for j, pairs in changed.items():
-                    v = sum_of_products(pairs)
-                    if v.is_zero:
-                        row.pop(j, None)
-                    else:
-                        row[j] = v
+                row = _updated(row, changed, sum_of_products)
             out_rows.append(row)
+        return ExactMatrix(self.ring, self.dim, tuple(out_rows))
+
+    def one_plus_times(self, nil: dict) -> "ExactMatrix":
+        """(1 + N) * self for N given as in ``times_one_plus``: row i gains
+        sum_j N_ij times the old row j, and a row N does not touch is kept."""
+        sum_of_products = self.ring.sum_of_products
+        rows = self.rows
+        out_rows = list(rows)
+        for i, cols in nil.items():
+            changed: dict[int, list] = {}
+            for j, n in cols:
+                for k, b in rows[j].items():
+                    changed.setdefault(k, []).append((n, b))
+            if changed:
+                out_rows[i] = _updated(rows[i], changed, sum_of_products)
         return ExactMatrix(self.ring, self.dim, tuple(out_rows))
 
     def key(self) -> tuple:
@@ -121,3 +131,17 @@ class ExactMatrix:
             if len(row) != 1 or row.get(i) != one:
                 return False
         return True
+
+
+def _updated(row: dict, changed: dict, sum_of_products) -> dict:
+    """A copy of the row with each entry of ``changed``, {column: pairs},
+    replaced by its old value plus the sum of the pairs' products; an entry
+    that becomes zero is dropped."""
+    out = dict(row)
+    for j, pairs in changed.items():
+        v = sum_of_products(pairs, row.get(j))
+        if v.is_zero:
+            out.pop(j, None)
+        else:
+            out[j] = v
+    return out

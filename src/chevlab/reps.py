@@ -25,7 +25,9 @@ of entries per block (for G2, 2 or 5 of the 49 in the 7-block and 8 to 17
 of the 196 in the 14-block).  ``Representation.x`` adds the identity to
 N; ``GroupElement.times_x`` applies the letter to a running product M as
 the column operations M + M N, so a word builds only its first letter as
-a matrix.
+a matrix.  N is read off with no ring constants: its entries with the same
+values (v_1, ..., v_K) share one integer combination of the powers c^k
+(``Ring.combination``).
 
 Over Z/n letters are numpy matrices of residues, the identity with the
 index's entries N_ij mod n written in, and ``times_x`` is the plain
@@ -42,6 +44,10 @@ directly by the Levi sampler).
 ``unipotent_coordinates_stack`` a stack of them.  Each root's coordinate is
 read at its first entry v = +-1 of e^(1), as v times that entry, which
 every root of A2, C2 and G2 has; the build refuses a root without one.
+The scalar peel takes each letter x_root(-t) off on the left with
+``GroupElement.x_times``: over an exact ring that is the row operations
+(1 + N) M = M + N M, which keep every row N does not touch, and over Z/n
+the numpy product.
 Membership in a congruence subgroup is tested entrywise against the ideal
 (``congruence_level_test``); no element is ever reduced to a quotient ring.
 """
@@ -144,20 +150,20 @@ class Representation:
         per block with nonzero N_ij = sum_k coeff^k e^(k)_ij, read off the
         sparse power index."""
         ring = coeff.ring
-        powers = []
-        ck = ring.one
-        for _ in self.powers[root]:
-            ck = ck * coeff
-            if ck.is_zero:
-                break
-            powers.append(ck)
+        depth = len(self.powers[root])
+        powers = [coeff]
+        while len(powers) < depth and not powers[-1].is_zero:
+            powers.append(powers[-1] * coeff)
+        # entries with the same values share one element; G2 has 20
+        # distinct value tuples in all
+        combos: dict[tuple, RingElement] = {}
         out = []
         for block in self._sparse_powers[root]:
             nil: dict[int, list] = {}
             for i, j, vals in block:
-                n = ring.sum_of_products(
-                    (c, ring.element(v)) for c, v in zip(powers, vals) if v
-                )
+                n = combos.get(vals)
+                if n is None:
+                    n = combos[vals] = ring.combination(vals, powers)
                 if not n.is_zero:
                     nil.setdefault(i, []).append((j, n))
             out.append(nil)
@@ -248,15 +254,30 @@ class GroupElement:
         (``ExactMatrix.times_one_plus``)."""
         if self.backend == "np":
             return self * self.rep.x(root, coeff)
+        blocks = tuple(
+            b.times_one_plus(nil) for b, nil in zip(self.blocks, self._nilpotent(root, coeff))
+        )
+        return GroupElement(self.rep, self.ring, "exact", blocks)
+
+    def x_times(self, root: Root, coeff: RingElement) -> "GroupElement":
+        """rep.x(root, coeff) * self, the left twin of ``times_x``: over an
+        exact ring each block takes N as row operations
+        (``ExactMatrix.one_plus_times``)."""
+        if self.backend == "np":
+            return self.rep.x(root, coeff) * self
+        blocks = tuple(
+            b.one_plus_times(nil) for b, nil in zip(self.blocks, self._nilpotent(root, coeff))
+        )
+        return GroupElement(self.rep, self.ring, "exact", blocks)
+
+    def _nilpotent(self, root: Root, coeff: RingElement) -> tuple[dict, ...]:
+        """The letter's N per block, refused for a coefficient of another
+        ring or a root of another system."""
         if coeff.ring != self.ring:
             raise MixedRings(f"{coeff.ring} vs {self.ring}")
         if root.system != self.rep.system.type_tag:
             raise RepresentationError(f"{root} does not belong to {self.rep.name}")
-        blocks = tuple(
-            b.times_one_plus(nil)
-            for b, nil in zip(self.blocks, self.rep._nilpotent(root, coeff))
-        )
-        return GroupElement(self.rep, self.ring, "exact", blocks)
+        return self.rep._nilpotent(root, coeff)
 
     def __eq__(self, other) -> bool:
         return (
@@ -579,14 +600,13 @@ def unipotent_coordinates(
     later ones (ordering by any linear functional positive on the set
     works).  Raises PeelError when g does not live in that product.
     """
-    rep = g.rep
     residual = g
     coords = []
     for root in roots_in_order:
         t = _leading_coefficient(residual, root)
         coords.append((root, t))
         if not t.is_zero:
-            residual = rep.x(root, -t) * residual
+            residual = residual.x_times(root, -t)
     if not residual.is_identity:
         raise PeelError(
             "element does not factor through "

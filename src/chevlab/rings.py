@@ -165,14 +165,18 @@ class Ring:
             raise RingError(f"{self} has no monomials")
         return self._poly({self._pack(exp): c for exp, c in d.items()})
 
-    def sum_of_products(self, pairs) -> "RingElement":
-        """sum(a * b for a, b in pairs) over elements of this ring: every
-        product goes into one accumulator, and one element is built.  Of
-        each pair the shorter polynomial is the outer loop."""
+    def sum_of_products(self, pairs, start: "RingElement | None" = None) -> "RingElement":
+        """start + sum(a * b for a, b in pairs) over elements of this ring,
+        with no start taken as zero: the accumulator begins as a copy of the
+        start's terms, every product goes into it, and one element is built.
+        Of each pair the shorter polynomial is the outer loop."""
         if self.kind != "poly":
-            s, n = sum(a.payload * b.payload for a, b in pairs), self._cmod
+            s = sum(a.payload * b.payload for a, b in pairs)
+            if start is not None:
+                s += start.payload
+            n = self._cmod
             return RingElement(self, s % n if n else s)
-        acc: dict[int, int] = {}
+        acc: dict[int, int] = {} if start is None else dict(start.payload)
         get = acc.get
         for a, b in pairs:
             outer, inner = a.payload, b.payload
@@ -183,6 +187,21 @@ class Ring:
                 for m2, c2 in inner:
                     m = m1 + m2
                     acc[m] = get(m, 0) + c1 * c2
+        return self._poly(acc)
+
+    def combination(self, ints, elements) -> "RingElement":
+        """sum(v * e for v, e in zip(ints, elements)) for plain integers v:
+        each element's terms scaled into one accumulator, which is then
+        reduced as a product is."""
+        if self.kind != "poly":
+            s, n = sum(v * e.payload for v, e in zip(ints, elements)), self._cmod
+            return RingElement(self, s % n if n else s)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for v, e in zip(ints, elements):
+            if v:
+                for m, c in e.payload.items():
+                    acc[m] = get(m, 0) + v * c
         return self._poly(acc)
 
     # -- packed monomials (poly rings) ----------------------------------------
@@ -208,12 +227,16 @@ class Ring:
     def _poly(self, acc: dict) -> "RingElement":
         """Element from a packed monomial -> coefficient map: coefficients
         reduced, zero terms dropped, and a surviving monomial with a guard
-        bit set refused."""
+        bit set refused.  It takes ownership of ``acc``: every caller passes
+        a dict it built for this call, and over Z one without a zero
+        coefficient becomes the payload as it is."""
         n = self._cmod
         if n:
             d = {m: r for m, c in acc.items() if (r := c % n)}
-        else:
+        elif 0 in acc.values():
             d = {m: c for m, c in acc.items() if c}
+        else:
+            d = acc
         if d and reduce(or_, d) & self._guards:
             # the fields of a sum of two packed monomials hold its true
             # exponents, so repacking them raises DegreeOverflow

@@ -167,18 +167,91 @@ def test_degree_bound_through_the_parser():
     assert parse_element(PZ, "2^40000") == PZ.element(2**40000)
 
 
+EVERY_RING_KIND = (Ring.integers(), Ring.mod(12), PZ, Ring.polynomial(Ring.mod(9), ("t",)))
+
+
+def _elements(ring, rng) -> list:
+    if ring.kind == "poly":
+        gens = list(ring.vars()) + [ring.element(3)]
+        return [ring.element(rng.randrange(-9, 9)) + rng.choice(gens) * rng.choice(gens)
+                for _ in range(8)]
+    return [ring.element(rng.randrange(-99, 99)) for _ in range(8)]
+
+
 def test_sum_of_products_every_ring_kind():
     rng = random.Random(5)
-    for ring in (Ring.integers(), Ring.mod(12), PZ, Ring.polynomial(Ring.mod(9), ("t",))):
-        if ring.kind == "poly":
-            gens = list(ring.vars()) + [ring.element(3)]
-            elems = [ring.element(rng.randrange(-9, 9)) + rng.choice(gens) * rng.choice(gens)
-                     for _ in range(8)]
-        else:
-            elems = [ring.element(rng.randrange(-99, 99)) for _ in range(8)]
+    for ring in EVERY_RING_KIND:
+        elems = _elements(ring, rng)
         pairs = list(zip(elems[:4], elems[4:]))
         plain = ring.zero
         for a, b in pairs:
             plain = plain + a * b
         assert ring.sum_of_products(pairs) == plain
         assert ring.sum_of_products([]) == ring.zero
+
+
+def test_sum_of_products_from_a_start_every_ring_kind():
+    rng = random.Random(6)
+    for ring in EVERY_RING_KIND:
+        elems = _elements(ring, rng)
+        pairs = list(zip(elems[:4], elems[4:]))
+        start = elems[0] - elems[5]
+        before = start.payload.copy() if ring.kind == "poly" else start.payload
+        total = ring.sum_of_products(pairs, start)
+        assert total == ring.sum_of_products([(start, ring.one)] + pairs)
+        assert ring.sum_of_products([], start) == start
+        # total cancellation to zero
+        assert ring.sum_of_products(pairs, -ring.sum_of_products(pairs)).is_zero
+        assert start.payload == before
+        if ring.kind == "poly":
+            assert 0 not in total.payload.values()
+
+
+def test_start_cancellation_and_degree_guard():
+    xi, zeta, eta = PZ.vars()
+    start = xi + zeta
+    before = dict(start.payload)
+    # xi cancels: its monomial leaves the term map instead of keeping a 0
+    partial = PZ.sum_of_products([(xi, PZ.element(-1)), (eta, eta)], start)
+    assert partial == zeta + eta * eta and 0 not in partial.payload.values()
+    assert start.payload == before
+    half = MAX_EXPONENT // 2 + 1
+    high = PZ.term(1, (0, half, 0))
+    with pytest.raises(DegreeOverflow):
+        PZ.sum_of_products([(high, high)], PZ.one)
+    # a guard-bit monomial whose coefficient vanishes mod n is exact
+    Z4X = Ring.polynomial(Ring.mod(4), ("xi",))
+    two_high = Z4X.term(2, (half,))
+    assert Z4X.sum_of_products([(two_high, two_high)], Z4X.one) == Z4X.one
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([0, 4, 9]), st.integers(1, 3), st.data())
+def test_combination_matches_reference(modulus, nvars, data):
+    base = Ring.mod(modulus) if modulus else Ring.integers()
+    ring = Ring.polynomial(base, NAMES[:nvars])
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    refs = [RefPoly(nvars, modulus, data.draw(st.dictionaries(exps, st.integers(-30, 30), max_size=6)))
+            for _ in range(3)]
+    ints = data.draw(st.lists(st.integers(-12, 12), min_size=3, max_size=3))
+    expect = RefPoly(nvars, modulus, {})
+    for v, p in zip(ints, refs):
+        expect = expect + RefPoly(nvars, modulus, {(0,) * nvars: v}) * p
+    assert same(ring.combination(ints, [packed(ring, p) for p in refs]), expect)
+
+
+def test_combination_every_ring_kind_and_vanishing_multiples():
+    for ring in (Ring.integers(), Ring.mod(12)):
+        a, b = ring.element(7), ring.element(-5)
+        assert ring.combination((3, -2), (a, b)) == 3 * a - 2 * b
+    # v * c == 0: 3 * 3xi over Z/9 and 2 * 2xi over Z/4
+    for n, v in ((9, 3), (4, 2)):
+        ring = Ring.polynomial(Ring.mod(n), ("xi",))
+        (xi,) = ring.vars()
+        assert ring.combination((v,), (v * xi,)).is_zero
+        assert ring.combination((v, 1), (v * xi, xi * xi)) == xi * xi
+    xi, zeta, _ = PZ.vars()
+    # the zip stops at the shorter argument, and a zero multiple adds nothing
+    assert PZ.combination((1, 0, 5), (xi, zeta)) == xi
+    cancelled = PZ.combination((1, -1), (xi + zeta, xi))
+    assert cancelled == zeta and 0 not in cancelled.payload.values()

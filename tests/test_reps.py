@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from chevlab import constants
 from chevlab.constants import compute_table
+from chevlab.linalg import ExactMatrix
 from chevlab.reps import (
     GroupElement,
     PeelError,
@@ -21,7 +22,7 @@ from chevlab.reps import (
 )
 from chevlab.rings import MAX_EXPONENT, DegreeOverflow, Ideal, MixedRings, Ring, enumerate_elements
 from chevlab.words import Word, XSym, evaluate, evaluate_stack, x_word
-from letters_oracle import dense_x, times_x_by_product
+from letters_oracle import dense_x, times_x_by_product, unipotent_coordinates_by_product, x_times_by_product
 from reps_oracle import oracle_representation
 from words_oracle import z_matrix
 
@@ -318,11 +319,16 @@ def test_exact_reduction_matches_numpy_backend(tag, letters, n):
 
 ZXZ = Ring.polynomial(Ring.integers(), ("xi", "zeta"))
 Z9X = Ring.polynomial(Ring.mod(9), ("xi",))
+# G2's index values +-2 send 2*xi to zero here
+Z4X = Ring.polynomial(Ring.mod(4), ("xi",))
+EXACT_RINGS = pytest.mark.parametrize(
+    "ring", [Ring.integers(), ZXZ, Z9X, Z4X], ids=["Z", "Zxz", "Z9x", "Z4x"]
+)
 
 
 def _letter_coefficients(rng, ring) -> list:
     """Zero, single terms and multi-term polynomials (integers over Z); over
-    Z/9[xi] also 3*xi, whose square is zero."""
+    Z/9[xi] also 3*xi, whose square is zero, and over Z/4[xi] 2*xi."""
     if ring.kind == "Z":
         return [ring.zero, ring.one, ring.element(-2), ring.element(rng.randint(-9, 9))]
     nvars = len(ring.variables)
@@ -333,6 +339,8 @@ def _letter_coefficients(rng, ring) -> list:
     out = [ring.zero, term(), term() + term(), term() + term() + term()]
     if ring == Z9X:
         out.append(3 * ring.var("xi"))
+    if ring == Z4X:
+        out.append(2 * ring.var("xi"))
     return out
 
 
@@ -362,6 +370,61 @@ def test_letter_application_matches_full_product(tag, ring):
             assert after.times_x(root, -c) == g
 
 
+@pytest.mark.parametrize("tag", ["A2", "C2", "G2"])
+@EXACT_RINGS
+def test_left_letter_matches_full_product(tag, ring):
+    rep = get_representation(tag)
+    rng = random.Random(f"left-{tag}-{ring}")
+    if ring == Z4X and tag == "G2":
+        # some entry of some letter vanishes: v * 2*xi = 0 for v = +-2
+        two_xi = 2 * ring.var("xi")
+        assert any(
+            len(b.rows[i]) < len(a.rows[i])
+            for root in rep.system.roots
+            for a, b in zip(rep.x(root, ring.var("xi")).blocks, rep.x(root, two_xi).blocks)
+            for i in range(a.dim)
+        )
+    products = [rep.identity(ring)] + [_oracle_product(rng, rep, ring, k) for k in (1, 2, 3)]
+    for root in rep.system.roots:
+        for c in _letter_coefficients(rng, ring):
+            g = rng.choice(products)
+            after = g.x_times(root, c)
+            assert after == x_times_by_product(g, root, c)
+            assert after.x_times(root, -c) == g
+
+
+@pytest.mark.parametrize("tag", ["A2", "C2", "G2"])
+@EXACT_RINGS
+def test_peel_matches_full_product_peel(tag, ring):
+    rep = get_representation(tag)
+    rng = random.Random(f"peel-{tag}-{ring}")
+    cone = sorted(rep.system.positive_roots, key=lambda r: (sum(r.coords), r.coords))
+
+    def random_word(roots, letters):
+        g = rep.identity(ring)
+        for _ in range(letters):
+            g = g.times_x(rng.choice(roots), rng.choice(_letter_coefficients(rng, ring)))
+        return g
+
+    # words in the positive roots lie in the cone; words in all roots mostly
+    # do not, and x_{-a}(1) never does
+    elements = [random_word(cone, k) for k in (0, 1, 3, 6, 10)]
+    elements += [random_word(list(rep.system.roots), k) for k in (1, 2, 4)]
+    elements.append(rep.x(-cone[0], ring.one))
+    peeled = []
+    for g in elements:
+        try:
+            expect = unipotent_coordinates_by_product(g, cone)
+        except PeelError:
+            with pytest.raises(PeelError):
+                unipotent_coordinates(g, cone)
+            peeled.append(False)
+            continue
+        assert unipotent_coordinates(g, cone) == expect
+        peeled.append(True)
+    assert peeled[:5] == [True] * 5 and not peeled[-1]
+
+
 def test_letter_keeps_the_rows_it_does_not_touch():
     rep = get_representation("G2")
     xi, zeta = ZXZ.vars()
@@ -371,6 +434,37 @@ def test_letter_keeps_the_rows_it_does_not_touch():
     for before_block, after_block in zip(g.blocks, after.blocks):
         kept = [a is b for a, b in zip(before_block.rows, after_block.rows)]
         assert any(kept) and not all(kept)
+    # on the left, exactly the rows where N is nonzero change
+    left = after.x_times(alpha, zeta)
+    for b, (before_block, left_block) in enumerate(zip(after.blocks, left.blocks)):
+        touched = set(rep._nilpotent(alpha, zeta)[b])
+        for i, (r, s) in enumerate(zip(before_block.rows, left_block.rows)):
+            assert (r is s) == (i not in touched)
+
+
+def test_g2_letters_and_peels_take_no_full_product_and_few_ring_constants(monkeypatch):
+    # a peel by full products made 312 ExactMatrix products in the G2 table,
+    # and an element per index entry 9,974 and 10,916 Ring.element calls
+    rep = get_representation("G2")
+    compute_table(rep)
+    counts = {"mul": 0, "element": 0}
+    mul, element = ExactMatrix.__mul__, Ring.element
+
+    def counting_mul(a, b):
+        counts["mul"] += 1
+        return mul(a, b)
+
+    def counting_element(ring, value):
+        counts["element"] += 1
+        return element(ring, value)
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", counting_mul)
+    monkeypatch.setattr(Ring, "element", counting_element)
+    assert compute_table.__wrapped__(rep).entries == compute_table(rep).entries
+    assert counts["mul"] == 0 and counts["element"] < 1000
+    counts.update(mul=0, element=0)
+    assert verify_steinberg(rep).passed
+    assert counts["element"] < 1000
 
 
 def test_letter_past_the_largest_exponent_raises():
