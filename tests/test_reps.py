@@ -352,7 +352,7 @@ def _oracle_product(rng, rep, ring, letters: int):
 
 
 @pytest.mark.parametrize("tag", ["A2", "C2", "G2"])
-@pytest.mark.parametrize("ring", [Ring.integers(), ZXZ, Z9X], ids=["Z", "Zxz", "Z9x"])
+@EXACT_RINGS
 def test_letter_application_matches_full_product(tag, ring):
     rep = get_representation(tag)
     rng = random.Random(f"{tag}-{ring}")
