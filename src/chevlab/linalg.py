@@ -54,7 +54,8 @@ class ExactMatrix:
         return ExactMatrix(ring, dim, tuple({i: one} for i in range(dim)))
 
     def entry(self, i: int, j: int) -> RingElement:
-        return self.rows[i].get(j, self.ring.zero)
+        e = self.rows[i].get(j)
+        return self.ring.zero if e is None else e
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if other.ring != self.ring:

@@ -359,8 +359,10 @@ class RingElement:
     def __pow__(self, k: int):
         if k < 0:
             raise RingError("negative powers are not defined")
-        out = self.ring.one
-        for _ in range(k):
+        if k == 0:
+            return self.ring.one
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 

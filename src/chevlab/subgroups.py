@@ -12,7 +12,7 @@ submonoid a set of invertible matrices spans is the subgroup it generates.
 ``close_over`` checks that each generator is invertible with ``_eliminate``,
 Gauss-Jordan mod p^k with unit pivots only: joined over the p^k exactly
 dividing n by the Chinese remainder theorem it gives every inverse, and over
-F_p it solves the linearised group equations.
+F_p the rank that the generator certificate checks.
 
 Membership and deduplication go through one code per matrix (``_codes``).
 When n^(dim^2) <= 2^64, which holds for A2 up to n = 138 and for C2 up to
@@ -53,27 +53,32 @@ p^3 (p^2 - 1)(p^3 - 1) and |Sp4(F_p)| = p^4 (p^2 - 1)(p^4 - 1) (Steinberg,
 Lectures on Chevalley groups).  T1 reports |G(R, I)| and T2 and T3 report
 |C(R, I)| from these forms.
 
-The generating set (``_congruence_generators``) lists no layer.  At each p
-it is the base -- one lift of each central scalar for C, or 1, when p
-divides d, and the x_a(1), which generate G(F_p) = E(F_p), when it does
-not -- and for each layer m one lift of 1 + p^m z for each basis row z of
-the solutions mod p of the group equations linearised at 1.  Each is
-carried up to p^k by the particular solution of every later layer and
-placed with 1 at the other primes.  ``_certify_generators`` checks them
-without listing anything: (1) each satisfies the group equations mod n;
-(2) each is 1 mod d, or for C a scalar mod d; (3) at each p and each layer
-m, the layer-m generators are 1 mod p^m there and 1 at the other primes,
-and their images (g - 1)/p^m mod p have rank dim G over F_p, so they span
-the layer and, by descending induction on m, generate the kernel at p;
-(4) for C, the base at each p^a exactly dividing d holds |Z(G(Z/p^a))|
-matrices, distinct mod p^a and 1 at the other primes; by checks 1 and 2
-they are central scalars there, so they are one lift of each.  With the base
-at the primes not dividing d, the generators then generate the group whose
-order is the closed form.  A failed check raises EnumerationError naming
-it, G or C, the ring and the level.  The central scalars are constructed,
-not searched (``_central_scalars``): 1 alone, the four s = +-1, q/2 +- 1
-for Sp4 over Z/q, q = 2^a with a >= 3, or else the powers of one s != 1
-with s^e = 1 in the cyclic group (Z/q)^*; check 4 counts them apart.
+The generating set (``_congruence_generators``) lists no layer, and each
+generator is the value of a word in elementary letters, so it lies in G by
+construction.  At each p^k exactly dividing n the coefficients are taken
+mod p^k and 1 at the other primes.  The base at p is the x_a(1), which
+generate G(F_p) = E(F_p), when p does not divide d; when p^a exactly
+divides d, a >= 1, it is 1 for G, and for C one word
+h_a1(s) h_a2(s^2) = s 1 mod p^a for each central scalar s, where
+h_a(u) = w_a(u) w_a(-1) and w_a(u) = x_a(u) x_-a(-u^-1) x_a(u) (Steinberg,
+Lectures on Chevalley groups).  Each layer m is x_a(p^m) for every root a
+and h_a(1 + p^m) for each simple root a, dim G words whose images are the
+root vectors and the simple coroots.  ``_certify_generators`` checks them
+without listing anything: (1) each satisfies the group equations mod n, a
+witness independent of the words; (2) each is 1 mod d, or for C a scalar
+mod d; (3) at each p and each layer m, the layer-m generators are 1 mod p^m
+there and 1 at the other primes, and their images (g - 1)/p^m mod p have
+rank dim G over F_p, so they span the layer and, by descending induction on
+m, generate the kernel at p; (4) for C, the base at each p^a exactly
+dividing d holds |Z(G(Z/p^a))| matrices, distinct mod p^a and 1 at the
+other primes; by checks 1 and 2 they are central scalars there, so they are
+one lift of each.  With the base at the primes not dividing d, the
+generators then generate the group whose order is the closed form.  A
+failed check raises EnumerationError naming it, G or C, the ring and the
+level.  The central scalars are constructed, not searched
+(``_central_scalars``): 1 alone, the four s = +-1, q/2 +- 1 for Sp4 over
+Z/q, q = 2^a with a >= 3, or else the powers of one s != 1 with s^e = 1 in
+the cyclic group (Z/q)^*; check 4 counts them apart.
 
 ``enumerate_congruence_subgroup`` and ``enumerate_full_congruence`` list
 every element, for the tests and for callers that want the sets; no
@@ -115,7 +120,7 @@ import numpy as np
 from .factorize import condition_star, relative_generators
 from .reps import Representation, RepresentationError, get_representation
 from .rings import Ideal, InfiniteRing, Ring, enumerate_elements
-from .roots import get_system
+from .roots import Root, get_system
 from .words import Word, evaluate_stack, word_to_sexpr, x_word
 
 
@@ -634,39 +639,59 @@ def _congruence_generators(
     rep: Representation, n: int, d: int, central: bool
 ) -> list[tuple[int, int, np.ndarray]]:
     """A generating set of G(Z/n, (d)), or of C(Z/n, (d)) when central, as
-    blocks (p, m, matrices mod n), each matrix placed at p^k exactly
-    dividing n with 1 at the other primes.  No layer is listed.
+    blocks (p, m, matrices mod n).  Each matrix is the value of a word in
+    elementary letters, so it lies in the group by construction; at p^k
+    exactly dividing n its coefficients are taken mod q = p^k and 1 mod n/q,
+    through e_q = 1 mod q and 0 mod n/q, so it is 1 at the other primes.  No
+    layer is listed.
 
-    Block m = 0 at p is the base: one lift of each central scalar of
-    G(Z/p^a) for C, or 1, when p^a exactly divides d, a >= 1; the x_a(1),
-    which generate G(F_p), when p does not divide d.  Block m >= max(a, 1)
-    is one lift of 1 + p^m z for each basis row z of the solutions mod p of
-    the group equations linearised at 1.  Each generator is carried up to
-    p^k by the particular solution of every later layer."""
-    dim = rep.block_dims[0]
-    ident = np.eye(dim, dtype=np.int64)
+    Block m = 0 at p is the base.  When p^a exactly divides d, a >= 1, it is
+    the empty word for G, and for C the word h_a1(u1) h_a2(u2), u1 = s and
+    u2 = s^2 mod q, for each central scalar s of G(Z/p^a): a1^v + 2 a2^v
+    pairs to 1 mod e with every weight of the natural representation (1, 1
+    and -2 for SL3, e = 3; +-1 for Sp4), so the word is s 1 mod p^a.  When p
+    does not divide d it is the x_a(e_q), which generate G(F_p).  Block
+    m >= max(a, 1) is x_a(p^m e_q) for every root a and h_a(1 + p^m e_q) for
+    each simple root a: their images mod p^(m+1) are the root vectors and
+    the two simple coroots, a basis of the Lie algebra mod p."""
+    system = rep.system
+    ring = Ring.mod(n)
     blocks = []
     for p, k, a in _filtration(n, d):
         q = p**k
-        if a:
-            prime_blocks = [_central_scalars(rep, p, a) if central else ident[None]]
-        else:
-            ring = Ring.mod(q)
-            prime_blocks = [_word_matrices(_root_words(rep.system.type_tag, [ring.one]), rep, ring)]
-        level = max(a, 1)
-        if level < k:
-            particular, basis = _solve_mod_p(_linearised_equations(rep, p), p)
-        for m in range(level, k):
-            step = p**m
-            for i, block in enumerate(prime_blocks):
-                shift = (_lift_constants(rep, block, p, m) @ particular) % p
-                prime_blocks[i] = block @ (ident + step * shift.reshape(-1, dim, dim)) % (step * p)
-            prime_blocks.append((ident + step * basis.reshape(-1, dim, dim)) % (step * p))
-        # x = g mod q and x = 1 mod n/q
         e_q = (n // q) * pow(n // q, -1, q) % n
-        for m, block in zip([0, *range(level, k)], prime_blocks):
-            blocks.append((p, m, ((block * e_q) % n + ident * ((1 - e_q) % n)) % n))
+
+        def at_p(u: int) -> int:
+            # u mod q and 1 mod n/q
+            return (u * e_q + 1 - e_q) % n
+
+        if not a:
+            base = [x_word(root, ring.element(e_q)) for root in system.roots]
+        elif central:
+            a1, a2 = system.simple_roots
+            scalars = _central_scalars(rep, p, a)[:, 0, 0].tolist()
+            base = [_h_word(a1, at_p(s), ring) * _h_word(a2, at_p(s * s), ring) for s in scalars]
+        else:
+            base = [Word(())]
+        blocks.append((p, 0, evaluate_stack(base, rep, ring)[0]))
+        for m in range(max(a, 1), k):
+            t = ring.element(p**m * e_q)
+            layer = [x_word(root, t) for root in system.roots]
+            layer += [_h_word(root, at_p(1 + p**m), ring) for root in system.simple_roots]
+            blocks.append((p, m, evaluate_stack(layer, rep, ring)[0]))
     return blocks
+
+
+def _h_word(root: Root, u: int, ring: Ring) -> Word:
+    """h_a(u) = w_a(u) w_a(-1), w_a(t) = x_a(t) x_-a(-t^-1) x_a(t), for a
+    unit u of Z/n (Steinberg, Lectures on Chevalley groups, ch. 3); it acts
+    on a weight lambda as u^<lambda, a^v>."""
+
+    def w(t: int) -> Word:
+        x = x_word(root, ring.element(t))
+        return x * x_word(-root, ring.element(-pow(t, -1, ring.modulus))) * x
+
+    return w(u) * w(-1)
 
 
 def _check_level(where: str, what: str, mats: np.ndarray, d: int, central: bool) -> None:
@@ -680,8 +705,10 @@ def _check_level(where: str, what: str, mats: np.ndarray, d: int, central: bool)
 
 def _certify_generators(rep: Representation, n: int, d: int, central: bool, blocks) -> np.ndarray:
     """The matrices of the blocks in order, identities dropped, once they
-    pass the generator checks of the module docstring; EnumerationError
-    naming the check that fails."""
+    pass the four generator checks of the module docstring; EnumerationError
+    naming the check that fails.  The checks read the matrices alone, not
+    the words they are values of, so the group equations of check 1 witness
+    membership in G independently of the letters."""
     where = f"generators of {'C' if central else 'G'}(Z/{n}, ({d})) of {rep.name}"
     dim = rep.block_dims[0]
     dim_g = len(rep.system.roots) + rep.system.rank
@@ -738,43 +765,6 @@ def _central_scalars(rep: Representation, p: int, a: int) -> np.ndarray:
     return np.array(roots, dtype=np.int64)[:, None, None] * np.eye(rep.block_dims[0], dtype=np.int64)
 
 
-def _lift_constants(rep: Representation, layer: np.ndarray, p: int, m: int) -> np.ndarray:
-    """-C(g) mod p for each g of G(Z/p^m) in the layer, with
-    C(g) = (f(g) - f(1))/p^m mod p: g (1 + p^m Z) satisfies the equations f
-    mod p^(m+1) exactly when L(Z) = -C(g) mod p, L the equations linearised
-    at 1."""
-    q = p ** (m + 1)
-    ident = np.eye(layer.shape[1], dtype=np.int64)
-    defect = (_group_equations(rep, layer, q) - _group_equations(rep, ident[None], q)) % q
-    return (-(defect // p**m)) % p
-
-
-def _linearised_equations(rep: Representation, p: int) -> np.ndarray:
-    """The matrix of the group equations linearised at 1, mod p: column i is
-    (f(1 + p E_i) - f(1))/p mod p, since f(1 + pZ) = f(1) + p L(Z) mod p^2
-    for a polynomial f (L is tr Z for A2 and Z^T Omega + Omega Z for C2)."""
-    dim = rep.block_dims[0]
-    ident = np.eye(dim, dtype=np.int64)
-    units = np.eye(dim * dim, dtype=np.int64).reshape(-1, dim, dim)
-    q = p * p
-    diff = (_group_equations(rep, ident + p * units, q) - _group_equations(rep, ident[None], q)) % q
-    return ((diff // p) % p).T
-
-
-def _solve_mod_p(lin: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-reduce the r x c matrix over F_p.  Returns (P, B): when lin z = b
-    is solvable, b @ P is one solution, and the rows of B span the solutions
-    of lin z = 0."""
-    reduced, transform, pivoted = (out[0] for out in _eliminate(lin[None], p, p))
-    pivots, free = np.flatnonzero(pivoted), np.flatnonzero(~pivoted)
-    particular = np.zeros(lin.shape, dtype=np.int64)
-    particular[:, pivots] = transform[: len(pivots)].T
-    basis = np.zeros((len(free), lin.shape[1]), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-reduced[: len(pivots), free].T) % p
-    return particular, basis
-
-
 def _prime_powers(n: int) -> list[tuple[int, int]]:
     """(p, k) for each p^k exactly dividing n, by trial division."""
     out = []
@@ -792,16 +782,6 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _group_equations(rep: Representation, stack: np.ndarray, n: int) -> np.ndarray:
-    """The defining equations of the group at each matrix, mod n, one row per
-    matrix: the determinant for A2, the entries of g^T Omega g for C2."""
-    if rep.system.type_tag == "A2":
-        return _det3(stack, n)[:, None]
-    form = np.array(rep.symplectic_form, dtype=np.int64)
-    lhs = np.matmul(np.matmul(stack.transpose(0, 2, 1), form) % n, stack) % n
-    return lhs.reshape(len(stack), -1)
-
-
 def _det3(stack: np.ndarray, n: int) -> np.ndarray:
     """The determinant of each 3x3 matrix mod n by cofactors of the first
     row; each product is of two residues, so int64 holds it."""
@@ -811,8 +791,13 @@ def _det3(stack: np.ndarray, n: int) -> np.ndarray:
 
 
 def _group_equation_mask(rep: Representation, cand: np.ndarray, n: int) -> np.ndarray:
-    ident = np.eye(cand.shape[1], dtype=np.int64)
-    return np.all(_group_equations(rep, cand, n) == _group_equations(rep, ident[None], n), axis=1)
+    """Whether each matrix satisfies the defining equations of the group
+    mod n: det g = 1 for A2, g^T Omega g = Omega for C2."""
+    if rep.system.type_tag == "A2":
+        return _det3(cand, n) == 1 % n
+    form = np.array(rep.symplectic_form, dtype=np.int64)
+    lhs = np.matmul(np.matmul(cand.transpose(0, 2, 1), form) % n, cand) % n
+    return np.all(lhs == form % n, axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 ``batch_det`` expands each determinant along its first row, recursively, so
 a d x d matrix costs d! products; ``batch_inverse`` builds the adjugate from
 d^2 such determinants and scales it by the inverse of the determinant.
-``solve_mod_p`` row-reduces one matrix over F_p on Python lists.  All three
-are slow and plainly correct, which is what an oracle on small cases needs.
+``solve_mod_p`` row-reduces one matrix over F_p on Python lists; the number
+of its null-space basis rows gives the rank the elimination must find.  All
+three are slow and plainly correct, which is what an oracle on small cases
+needs.
 """
 from __future__ import annotations
 

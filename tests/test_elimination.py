@@ -1,6 +1,6 @@
 """The one elimination mod p^k of ``subgroups`` against the cofactor oracle.
 
-Inverses are compared with the adjugate, F_p solutions with the list-based
+Inverses are compared with the adjugate, ranks over F_p with the list-based
 row reduction, and the SL3 determinant with the cofactor expansion, over
 random moduli up to the largest one subgroup enumeration admits.
 """
@@ -18,8 +18,6 @@ from chevlab.subgroups import (
     _batch_inverse,
     _det3,
     _eliminate,
-    _linearised_equations,
-    _solve_mod_p,
     absolute_elementary_words,
 )
 from chevlab.words import evaluate_stack
@@ -97,22 +95,14 @@ def test_non_invertible_refused_with_what():
     rank=st.integers(0, 7),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_solve_mod_p_matches_row_reduction(p, r, c, rank, seed):
-    # rank at most min(r, c) - 1, so every matrix is rank-deficient
+def test_eliminate_rank_matches_row_reduction(p, r, c, rank, seed):
+    # the rank over F_p that the generator certificate's rank check reads;
+    # at most min(r, c) - 1, so every matrix is rank-deficient
     rank = min(rank, r - 1, c - 1)
     rng = np.random.default_rng(seed)
     lin = rng.integers(0, p, (r, rank)) @ rng.integers(0, p, (rank, c)) % p
-    ours, oracle = _solve_mod_p(lin, p), solve_mod_p(lin, p)
-    assert all(np.array_equal(a, b) for a, b in zip(ours, oracle))
+    oracle = solve_mod_p(lin, p)
     assert int(_eliminate(lin[None], p, p)[2].sum()) == c - len(oracle[1])
-
-
-@pytest.mark.parametrize("rep", [A2, C2], ids=["A2", "C2"])
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_solve_mod_p_on_linearised_equations(rep, p):
-    lin = _linearised_equations(rep, p)
-    ours, oracle = _solve_mod_p(lin, p), solve_mod_p(lin, p)
-    assert all(np.array_equal(a, b) for a, b in zip(ours, oracle))
 
 
 @settings(max_examples=60, deadline=None)

@@ -287,8 +287,15 @@ def test_lifted_full_congruence_matches_closure_route(rep, n, d):
     assert lifted.cardinality == len(centre) * kernel.cardinality
 
 
+# the two central-lift shapes past the closure route's reach: the Sp4 centre
+# {+-1, q/2 +- 1} over Z/8, and a three-element centre of SL3 at p = 7
+_CENTRAL_LIFT_CASES = [
+    pytest.param(rep, n, d, id=f"{rep.name}-Z{n}-({d})") for rep, n, d in [(C2, 16, 8), (A2, 28, 14)]
+]
+
+
 @pytest.mark.parametrize("central", [False, True], ids=["G", "C"])
-@pytest.mark.parametrize("rep,n,d", _FULL_CONGRUENCE_CASES)
+@pytest.mark.parametrize("rep,n,d", _FULL_CONGRUENCE_CASES + _CENTRAL_LIFT_CASES)
 def test_lifted_generators_generate_the_set(monkeypatch, rep, n, d, central):
     # the listing closes the certified generators by right products alone;
     # the oracle closes them and their inverses with a plain set of codes
@@ -483,7 +490,8 @@ def test_audit_direct_refuses_a_set_not_closed():
     [
         pytest.param(rep, n, d, id=f"{rep.name}-Z{n}-({d})")
         for rep, n, d in [(C2, 9, 3), (A2, 27, 9), (A2, 8, 2), (A2, 12, 4), (C2, 6, 3)]
-    ],
+    ]
+    + _CENTRAL_LIFT_CASES,
 )
 def test_kernel_from_cached_full_congruence_matches_lifting(monkeypatch, rep, n, d):
     # G(R, I) is the part of C(R, I) that is 1 mod d, and its certified
