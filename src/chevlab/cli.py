@@ -10,6 +10,8 @@ task's raw parameters and parses each once, defaults filled in.
 ``run_campaign`` validates every task before it runs any, so every refusal
 that depends only on the parameters happens before any task runs, exits 2
 and names the command and the parameter.  Reports echo the raw parameters.
+A campaign builds and verifies each symbolic main-lemma case once, for all
+of its tasks, and nothing of it survives ``run_campaign``.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import cache
 from itertools import islice
 
 from .constants import compute_table, constants_magnitudes
@@ -116,8 +119,12 @@ def task_verify_chevalley(args: dict) -> tuple[dict, bool]:
     )
 
 
+@cache
 def _symbolic_main_lemma(case: MainLemmaCase) -> tuple[CertifiedFactorization, bool]:
-    """The case's word over Z[xi, zeta, eta] with ideals (xi), (zeta), verified."""
+    """The case's word over Z[xi, zeta, eta] with ideals (xi), (zeta), verified.
+    Memoized by case for the tasks of one campaign: ``run_campaign`` clears
+    it when it ends, so each campaign builds each case once and nothing
+    survives it.  A case that raises is not stored and raises again."""
     ring = Ring.polynomial(Ring.integers(), ("xi", "zeta", "eta"))
     xi, zeta, eta = ring.vars()
     ideal_i = Ideal.of(ring, [xi])
@@ -417,7 +424,8 @@ def validate_task(command: str, params: dict) -> dict:
 
 
 def run_campaign(tasks: list[dict], seed: int, with_timings: bool) -> dict:
-    """Validate every task, then run them in order on the parsed arguments."""
+    """Validate every task, then run them in order on the parsed arguments;
+    the symbolic main-lemma memo is cleared when the campaign ends."""
     parsed = []
     for index, entry in enumerate(tasks):
         params = entry.get("params", {}) if isinstance(entry, dict) else None
@@ -429,22 +437,27 @@ def run_campaign(tasks: list[dict], seed: int, with_timings: bool) -> dict:
     timings = []
     any_false = False
     any_error = False
-    for command, params, args in parsed:
-        start = time.monotonic()
-        try:
-            result, ok = TASKS[command](args)
-            if ok is None:
+    try:
+        for command, params, args in parsed:
+            start = time.monotonic()
+            try:
+                result, ok = TASKS[command](args)
+                if ok is None:
+                    status = "error"
+                    any_error = True
+                else:
+                    status = "ok" if ok else "false"
+                    any_false = any_false or not ok
+            except Exception as exc:  # noqa: BLE001 - reported, exit code 2
+                result = {"error": f"{type(exc).__name__}: {exc}"}
                 status = "error"
                 any_error = True
-            else:
-                status = "ok" if ok else "false"
-                any_false = any_false or not ok
-        except Exception as exc:  # noqa: BLE001 - reported, exit code 2
-            result = {"error": f"{type(exc).__name__}: {exc}"}
-            status = "error"
-            any_error = True
-        timings.append(round(time.monotonic() - start, 3))
-        results.append({"command": command, "params": params, "status": status, "result": result})
+            timings.append(round(time.monotonic() - start, 3))
+            results.append(
+                {"command": command, "params": params, "status": status, "result": result}
+            )
+    finally:
+        _symbolic_main_lemma.cache_clear()
     report = {
         "version": "0.1.0",
         "seed": seed,

@@ -75,7 +75,8 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 @dataclass(frozen=True)
 class Ring:
-    """A commutative ring with 1: Z, Z/n, or polynomials over one of those."""
+    """A commutative ring with 1: Z, Z/n, or polynomials over one of those.
+    Its ``zero`` and ``one`` are built once, with the ring."""
 
     kind: str  # "Z" | "Zn" | "poly"
     modulus: int | None = None
@@ -113,6 +114,10 @@ class Ring:
             object.__setattr__(self, "_guards", sum(1 << (s + FIELD_BITS - 1) for s in shifts))
         else:
             raise ValueError(f"unknown ring kind {self.kind!r}")
+        # zero and one are built once, as plain attributes too
+        poly = self.kind == "poly"
+        object.__setattr__(self, "zero", RingElement(self, {} if poly else 0))
+        object.__setattr__(self, "one", RingElement(self, {0: 1} if poly else 1))
 
     # -- constructors ------------------------------------------------------
 
@@ -129,14 +134,6 @@ class Ring:
         return Ring("poly", base=base, variables=tuple(variables))
 
     # -- elements ----------------------------------------------------------
-
-    @property
-    def zero(self) -> "RingElement":
-        return self.element(0)
-
-    @property
-    def one(self) -> "RingElement":
-        return self.element(1)
 
     def element(self, value: int) -> "RingElement":
         """Canonical element from an integer (constant for poly rings)."""

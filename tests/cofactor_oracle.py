@@ -56,12 +56,11 @@ def batch_det(stack: np.ndarray, n: int) -> np.ndarray:
     return total % n
 
 
-def solve_mod_p(lin: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-reduce the r x c matrix over F_p.  Returns (P, B): when lin z = b
-    is solvable, b @ P is one solution, and the rows of B span the solutions
-    of lin z = 0."""
+def solve_mod_p(lin: np.ndarray, p: int) -> np.ndarray:
+    """Row-reduce the r x c matrix over F_p.  Returns B, whose rows span the
+    solutions of lin z = 0: one row per column without a pivot."""
     r, c = lin.shape
-    rows = [[int(x) % p for x in row] + [int(i == j) for j in range(r)] for i, row in enumerate(lin)]
+    rows = [[int(x) % p for x in row] for row in lin]
     pivots: list[int] = []
     for col in range(c):
         top = len(pivots)
@@ -76,14 +75,10 @@ def solve_mod_p(lin: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
                 f = rows[i][col]
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[top])]
         pivots.append(col)
-    rank = len(pivots)
-    reduced = np.array([row[:c] for row in rows], dtype=np.int64).reshape(r, c)
-    transform = np.array([row[c:] for row in rows], dtype=np.int64).reshape(r, r)
-    particular = np.zeros((r, c), dtype=np.int64)
-    particular[:, pivots] = transform[:rank].T
+    reduced = np.array(rows, dtype=np.int64).reshape(r, c)
     free = [col for col in range(c) if col not in pivots]
     basis = np.zeros((len(free), c), dtype=np.int64)
     for i, col in enumerate(free):
         basis[i, col] = 1
-        basis[i, pivots] = (-reduced[:rank, col]) % p
-    return particular, basis
+        basis[i, pivots] = (-reduced[: len(pivots), col]) % p
+    return basis

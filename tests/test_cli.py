@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+from chevlab import cli
 from chevlab.cli import PARAMS, TASKS, TaskError, _args_to_task, build_parser, main, run_campaign, validate_task
+from chevlab.factorize import FactorizationError
 
 
 def test_empty_campaign(tmp_path, capsys):
@@ -201,6 +203,98 @@ def test_finite_main_lemma_report_pinned():
     assert [entry["status"] for entry in report["tasks"]] == ["ok"] * len(PINNED_MAIN_LEMMA_TASKS)
     text = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_MAIN_LEMMA_SHA256
+
+
+def _count_main_lemma_words(monkeypatch) -> dict:
+    """Calls of ``main_lemma_word`` from the CLI, by case."""
+    calls: dict[str, int] = {}
+    word = cli.main_lemma_word
+
+    def counting(case, *args):
+        calls[case.value] = calls.get(case.value, 0) + 1
+        return word(case, *args)
+
+    monkeypatch.setattr(cli, "main_lemma_word", counting)
+    return calls
+
+
+def _memo_size() -> int:
+    return cli._symbolic_main_lemma.cache_info().currsize
+
+
+@pytest.mark.parametrize("case", ["A2", "C2Long", "G2Short"])
+def test_campaign_builds_each_symbolic_case_once(case, monkeypatch):
+    calls = _count_main_lemma_words(monkeypatch)
+    tasks = [
+        {"command": "verify-main-lemma", "params": {"case": case}},
+        {"command": "factorize-main-lemma", "params": {"case": case}},
+    ]
+    report = run_campaign(tasks, seed=1, with_timings=False)
+    assert calls == {case: 1} and _memo_size() == 0
+    # each task's entry is the one a campaign of that task alone reports,
+    # and each of those campaigns builds the case again
+    for task, entry in zip(tasks, report["tasks"]):
+        (alone,) = run_campaign([task], seed=1, with_timings=False)["tasks"]
+        assert entry["status"] == "ok"
+        assert json.dumps(entry, sort_keys=True) == json.dumps(alone, sort_keys=True)
+        assert _memo_size() == 0
+    assert calls == {case: 3}
+
+
+def test_campaigns_in_a_row_build_each_case_again(monkeypatch):
+    calls = _count_main_lemma_words(monkeypatch)
+    tasks = [
+        {"command": "verify-main-lemma", "params": {"case": "A2"}},
+        {"command": "factorize-main-lemma", "params": {"case": "C2Long"}},
+        {"command": "factorize-main-lemma", "params": {"case": "A2"}},
+        {"command": "verify-main-lemma", "params": {"case": "C2Long"}},
+    ]
+    first = json.dumps(run_campaign(tasks, seed=1, with_timings=False), sort_keys=True)
+    assert calls == {"A2": 1, "C2Long": 1} and _memo_size() == 0
+    second = json.dumps(run_campaign(tasks, seed=1, with_timings=False), sort_keys=True)
+    assert calls == {"A2": 2, "C2Long": 2} and _memo_size() == 0
+    assert first == second
+
+
+def test_memo_is_cleared_when_a_task_raises(monkeypatch):
+    calls = _count_main_lemma_words(monkeypatch)
+
+    class Stop(BaseException):
+        """Not an Exception, so it leaves the campaign's task loop."""
+
+    def stop(args):
+        raise Stop
+
+    monkeypatch.setitem(TASKS, "verify-chevalley", stop)
+    tasks = [
+        {"command": "verify-main-lemma", "params": {"case": "A2"}},
+        {"command": "verify-chevalley", "params": {"type": "A2"}},
+    ]
+    with pytest.raises(Stop):
+        run_campaign(tasks, seed=1, with_timings=False)
+    assert calls == {"A2": 1} and _memo_size() == 0
+
+
+def test_a_case_that_raises_is_not_memoized(monkeypatch):
+    calls = _count_main_lemma_words(monkeypatch)
+    word = cli.main_lemma_word
+
+    def failing(case, *args):
+        word(case, *args)
+        raise FactorizationError(f"no word for {case.value}")
+
+    monkeypatch.setattr(cli, "main_lemma_word", failing)
+    tasks = [
+        {"command": "verify-main-lemma", "params": {"case": "A2"}},
+        {"command": "factorize-main-lemma", "params": {"case": "A2"}},
+    ]
+    report = run_campaign(tasks, seed=1, with_timings=False)
+    # the error is reported by both tasks, each having built the case
+    assert calls == {"A2": 2} and _memo_size() == 0
+    assert [entry["result"] for entry in report["tasks"]] == [
+        {"error": "FactorizationError: no word for A2"}
+    ] * 2
+    assert report["exit_code"] == 2
 
 
 def test_bound_exceeded_is_an_error_result():

@@ -101,8 +101,8 @@ def test_eliminate_rank_matches_row_reduction(p, r, c, rank, seed):
     rank = min(rank, r - 1, c - 1)
     rng = np.random.default_rng(seed)
     lin = rng.integers(0, p, (r, rank)) @ rng.integers(0, p, (rank, c)) % p
-    oracle = solve_mod_p(lin, p)
-    assert int(_eliminate(lin[None], p, p)[2].sum()) == c - len(oracle[1])
+    basis = solve_mod_p(lin, p)
+    assert int(_eliminate(lin[None], p, p)[2].sum()) == c - len(basis)
 
 
 @settings(max_examples=60, deadline=None)
