@@ -122,9 +122,9 @@ def task_verify_chevalley(args: dict) -> tuple[dict, bool]:
 @cache
 def _symbolic_main_lemma(case: MainLemmaCase) -> tuple[CertifiedFactorization, bool]:
     """The case's word over Z[xi, zeta, eta] with ideals (xi), (zeta), verified.
-    Memoized by case for the tasks of one campaign: ``run_campaign`` clears
-    it when it ends, so each campaign builds each case once and nothing
-    survives it.  A case that raises is not stored and raises again."""
+    Memoized by case: ``run_campaign`` clears it when it ends, so a campaign
+    builds each case once, nothing survives it, and a case that raises is
+    not stored."""
     ring = Ring.polynomial(Ring.integers(), ("xi", "zeta", "eta"))
     xi, zeta, eta = ring.vars()
     ideal_i = Ideal.of(ring, [xi])
@@ -453,9 +453,7 @@ def run_campaign(tasks: list[dict], seed: int, with_timings: bool) -> dict:
                 status = "error"
                 any_error = True
             timings.append(round(time.monotonic() - start, 3))
-            results.append(
-                {"command": command, "params": params, "status": status, "result": result}
-            )
+            results.append({"command": command, "params": params, "status": status, "result": result})
     finally:
         _symbolic_main_lemma.cache_clear()
     report = {

@@ -674,7 +674,12 @@ class SteinbergReport:
 
 def verify_steinberg(rep: Representation) -> SteinbergReport:
     """Check additivity and every non-opposite Chevalley commutator
-    relation symbolically over Z[xi, zeta]."""
+    relation symbolically over Z[xi, zeta].
+
+    Each commutator is rebuilt and compared with the value of the table's
+    word, not read off the peel ``compute_table`` made of it: that peel is
+    how the table was found, so only an evaluation apart from it can catch
+    a wrong word."""
     # deferred: constants and words build on this module
     from . import constants
     from .words import evaluate
