@@ -12,6 +12,10 @@ that depends only on the parameters happens before any task runs, exits 2
 and names the command and the parameter.  Reports echo the raw parameters.
 A campaign builds and verifies each symbolic main-lemma case once, for all
 of its tasks, and nothing of it survives ``run_campaign``.
+
+The command line is built from ``PARAMS``: one subcommand per task and one
+``--key`` option per parameter.  A task whose ring is optional runs
+symbolically when it is given none.
 """
 from __future__ import annotations
 
@@ -70,6 +74,22 @@ UNSUPPORTED = {
 IDEALS = ("ideal", "ideal_i", "ideal_j")
 # the value an omitted optional parameter takes
 DEFAULTS = {"samples": 1000, "bound": DEFAULT_ELEMENT_BOUND}
+# what the CLI checks of an option beyond its presence; CLI reports echo
+# the defaults
+OPTIONS = {
+    "type": {"choices": SYSTEMS},
+    "stmt": {"choices": STATEMENTS},
+    "samples": {"type": int, "default": DEFAULTS["samples"]},
+    "bound": {"type": int, "default": DEFAULTS["bound"]},
+}
+# the command groups, whose tasks are named group-x, and the help lines
+GROUPS = ("verify", "factorize")
+HELP = {
+    "verify": "identity-layer verification",
+    "factorize": "emit certified factorizations",
+    "bruteforce": "brute-force subgroup statements",
+    "campaign": "run a JSON campaign file",
+}
 
 
 class TaskError(Exception):
@@ -484,6 +504,9 @@ def _emit(report: dict, path: str | None) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per task, ``verify-x`` and ``factorize-x`` as
+    ``verify x`` and ``factorize x``, with one ``--key`` option per
+    parameter of ``PARAMS``, required exactly when the task requires it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--report", help="write the JSON report to this path")
@@ -495,74 +518,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact-arithmetic lab for rank-2 elementary Chevalley groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for command, (required, optional) in PARAMS.items():
+        group, _, what = command.partition("-")
+        if group in GROUPS:
+            if group not in groups:
+                p = sub.add_parser(group, help=HELP[group])
+                groups[group] = p.add_subparsers(dest="what", required=True)
+            p = groups[group].add_parser(what, parents=[common])
+        else:
+            p = sub.add_parser(command, parents=[common], help=HELP.get(command))
+        p.set_defaults(task=command)
+        for key in (*required, *optional):
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, required=key in required, **OPTIONS.get(key, {}))
 
-    verify = sub.add_parser("verify", help="identity-layer verification")
-    verify_sub = verify.add_subparsers(dest="what", required=True)
-    for what in ("steinberg", "chevalley"):
-        p = verify_sub.add_parser(what, parents=[common])
-        p.add_argument("--type", required=True, choices=SYSTEMS)
-    p = verify_sub.add_parser("main-lemma", parents=[common])
-    p.add_argument("--case", required=True)
-    p.add_argument("--symbolic", action="store_true")
-    p.add_argument("--ring")
-    p.add_argument("--ideal-i", dest="ideal_i")
-    p.add_argument("--ideal-j", dest="ideal_j")
-    p = verify_sub.add_parser("long-root", parents=[common])
-    p.add_argument("--type", required=True, choices=SYSTEMS)
-    p.add_argument("--symbolic", action="store_true")
-    p.add_argument("--ring")
-    p.add_argument("--ideal")
-    p = verify_sub.add_parser("levi", parents=[common])
-    p.add_argument("--type", required=True, choices=SYSTEMS)
-    p.add_argument("--ring", required=True)
-    p.add_argument("--ideal-i", dest="ideal_i", required=True)
-    p.add_argument("--ideal-j", dest="ideal_j", required=True)
-    p.add_argument("--samples", type=int, default=1000)
-
-    p = sub.add_parser("bruteforce", parents=[common], help="brute-force subgroup statements")
-    p.add_argument("--stmt", required=True, choices=STATEMENTS)
-    p.add_argument("--type", required=True, choices=SYSTEMS)
-    p.add_argument("--ring", required=True)
-    p.add_argument("--ideal-i", dest="ideal_i", required=True)
-    p.add_argument("--ideal-j", dest="ideal_j")
-    p.add_argument("--bound", type=int, default=DEFAULT_ELEMENT_BOUND)
-
-    p = sub.add_parser("dump-constants", parents=[common])
-    p.add_argument("--type", required=True, choices=SYSTEMS)
-    p = sub.add_parser("dump-generators", parents=[common])
-    p.add_argument("--type", required=True, choices=SYSTEMS)
-    p.add_argument("--ring", required=True)
-
-    fact = sub.add_parser("factorize", help="emit certified factorizations")
-    fact_sub = fact.add_subparsers(dest="what", required=True)
-    p = fact_sub.add_parser("main-lemma", parents=[common])
-    p.add_argument("--case", required=True)
-    p.add_argument("--symbolic", action="store_true")
-    p = fact_sub.add_parser("long-root", parents=[common])
-    p.add_argument("--type", required=True, choices=SYSTEMS)
-    p.add_argument("--ring", required=True)
-    p.add_argument("--ideal", required=True)
-
-    p = sub.add_parser("campaign", help="run a JSON campaign file")
-    camp_sub = p.add_subparsers(dest="what", required=True)
-    runp = camp_sub.add_parser("run", parents=[common])
+    p = sub.add_parser("campaign", help=HELP["campaign"])
+    runp = p.add_subparsers(dest="what", required=True).add_parser("run", parents=[common])
     runp.add_argument("file", help="campaign JSON file")
-    runp.add_argument("--output", help="report output path")
     return parser
 
 
 def _args_to_task(args: argparse.Namespace) -> dict:
-    command = args.command
-    if command in ("verify", "factorize"):
-        command = f"{command}-{args.what}"
-    params = {}
-    for key in sorted(set().union(*(a + b for a, b in PARAMS.values()))):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    if getattr(args, "symbolic", False):
-        params.pop("ring", None)
-    return {"command": command, "params": params}
+    required, optional = PARAMS[args.task]
+    values = vars(args)
+    params = {key: values[key] for key in (*required, *optional) if values[key] is not None}
+    return {"command": args.task, "params": params}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -583,7 +564,7 @@ def main(argv: list[str] | None = None) -> int:
         except TaskError as exc:
             print(f"campaign validation failed: {exc}", file=sys.stderr)
             return 2
-        _emit(report, args.output or args.report)
+        _emit(report, args.report)
         return report["exit_code"]
     task = _args_to_task(args)
     try:

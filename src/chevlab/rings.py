@@ -358,10 +358,16 @@ class RingElement:
             raise RingError("negative powers are not defined")
         if k == 0:
             return self.ring.one
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+        # square and multiply; the base is squared only while bits of k
+        # remain, so no power above self ** k is formed
+        out, base = None, self
+        while True:
+            if k & 1:
+                out = base if out is None else base * out
+            k >>= 1
+            if not k:
+                return out
+            base = base * base
 
     # -- display -------------------------------------------------------------
 
@@ -590,9 +596,10 @@ def parse_element(ring: Ring, text: str) -> RingElement:
 
     def take():
         nonlocal pos
-        tok = tokens[pos]
+        if pos == len(tokens):
+            raise ParseError(f"unexpected end of {text!r}")
         pos += 1
-        return tok
+        return tokens[pos - 1]
 
     def parse_expr() -> RingElement:
         node = parse_term()
@@ -614,15 +621,13 @@ def parse_element(ring: Ring, text: str) -> RingElement:
         if peek() == "^":
             take()
             tok = take()
-            if tok is None or not tok.isdigit():
+            if not tok.isdigit():
                 raise ParseError(f"bad exponent in {text!r}")
             node = node ** int(tok)
         return node
 
     def parse_atom() -> RingElement:
-        tok = take() if peek() is not None else None
-        if tok is None:
-            raise ParseError(f"unexpected end of {text!r}")
+        tok = take()
         if tok == "-":
             return -parse_factor()
         if tok == "+":

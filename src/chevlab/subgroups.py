@@ -231,12 +231,11 @@ def _eliminate(mats: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray
 
 
 class EnumeratedSubgroup:
-    """A finite, fully closed set of canonical matrices with provenance."""
+    """A finite, fully closed set of canonical matrices."""
 
-    def __init__(self, rep: Representation, ring: Ring, generators: list[Word]):
+    def __init__(self, rep: Representation, ring: Ring):
         self.rep = rep
         self.ring = ring
-        self.generators = list(generators)
         dim = rep.block_dims[0]
         self._stack = np.zeros((0, dim, dim), dtype=np.int64)
         # the codes of the elements of _stack, ascending
@@ -332,10 +331,6 @@ class EnumeratedSubgroup:
             raise EnumerationError("closure check failed (1 or a product with a minimal generator is missing)")
         return True
 
-    def generators_hash(self) -> str:
-        payload = "\n".join(word_to_sexpr(w) for w in self.generators).encode()
-        return hashlib.sha256(payload).hexdigest()
-
     # -- closure -------------------------------------------------------------
 
     def close_over(self, gen_stack: np.ndarray, bound: int) -> None:
@@ -424,14 +419,13 @@ class EnumeratedSubgroup:
 def _normal_closure(
     rep: Representation,
     ring: Ring,
-    words: list[Word],
     seed: np.ndarray,
     bound: int,
     conj: np.ndarray | None = None,
     conj_inv: np.ndarray | None = None,
 ) -> EnumeratedSubgroup:
     """Close the seed, make it stable under conjugation, audit the result."""
-    sub = EnumeratedSubgroup(rep, ring, words)
+    sub = EnumeratedSubgroup(rep, ring)
     sub.close_over(seed, bound)
     if conj is not None:
         sub.close_under_conjugation(conj, bound, conj_inv)
@@ -448,7 +442,7 @@ def closure(
 ) -> EnumeratedSubgroup:
     """Subgroup generated by the words (BFS until fixpoint)."""
     _require_enumerable(rep, ring)
-    return _normal_closure(rep, ring, gens, _word_matrices(gens, rep, ring), bound)
+    return _normal_closure(rep, ring, _word_matrices(gens, rep, ring), bound)
 
 
 def commutator_subgroup(
@@ -463,12 +457,7 @@ def commutator_subgroup(
     or as a stack of matrices that generate it (all its elements will do)."""
     _require_enumerable(rep, ring)
     n = ring.modulus
-    words = list(h_gens)
-    if isinstance(k, np.ndarray):
-        k_stack = k
-    else:
-        k_stack = _word_matrices(k, rep, ring)
-        words += list(k)
+    k_stack = k if isinstance(k, np.ndarray) else _word_matrices(k, rep, ring)
     h_stack = _word_matrices(h_gens, rep, ring)
     h_inv = _batch_inverse(h_stack, n)
     k_inv = _batch_inverse(k_stack, n)
@@ -479,7 +468,7 @@ def commutator_subgroup(
             seeds.append(_unique_rows(h @ kc % n @ hi % n @ kc_inv % n, n))
     seed = _unique_rows(np.concatenate(seeds), n)
     conj, conj_inv = np.concatenate([h_stack, k_stack]), np.concatenate([h_inv, k_inv])
-    return _normal_closure(rep, ring, words, seed, bound, conj, conj_inv)
+    return _normal_closure(rep, ring, seed, bound, conj, conj_inv)
 
 
 def _require_enumerable(rep: Representation, ring: Ring) -> None:
@@ -571,7 +560,7 @@ def _congruence(
     where = f"listed {'C' if central else 'G'}({ring}, {ideal}) of {rep.name}"
     # the audit of the module docstring; a closure past the closed form is
     # stopped there and fails check 3
-    sub = EnumeratedSubgroup(rep, ring, [])
+    sub = EnumeratedSubgroup(rep, ring)
     try:
         sub.close_over(gens, size)
         sub.audit_direct()
@@ -962,6 +951,11 @@ def verify_theorem(
     return report
 
 
+def _words_hash(words: list[Word]) -> str:
+    """The sha256 of the words' s-expressions, one a line."""
+    return hashlib.sha256("\n".join(map(word_to_sexpr, words)).encode()).hexdigest()
+
+
 def _dispatch_theorem(statement, system_tag, ring, ideal_i, ideal_j, bound, report):
     rep = get_representation(system_tag)
     # refuse a ring too large for int64 products, then more words than the
@@ -987,8 +981,8 @@ def _dispatch_theorem(statement, system_tag, ring, ideal_i, ideal_j, bound, repo
             "[E(R,I),E(R,J)]": rhs.cardinality,
         }
         report.generator_hashes = {
-            "unrelativised": lhs.generators_hash(),
-            "relative": rhs.generators_hash(),
+            "unrelativised": _words_hash(e_i + e_j),
+            "relative": _words_hash(rel_i + rel_j),
         }
         report.verdict = lhs.same_elements(rhs)
         # side data, no verdict attached: how the relative elementary group

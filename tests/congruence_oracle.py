@@ -90,7 +90,7 @@ def full_congruence_by_closure(rep, ring, ideal, bound=10**6):
     gen_stack = _word_matrices(absolute_elementary_words(rep.system.type_tag, quot), rep, quot)
     center = reduced.stack[central_mask(reduced.stack, gen_stack, d)]
     dim = rep.block_dims[0]
-    sub = EnumeratedSubgroup(rep, ring, [])
+    sub = EnumeratedSubgroup(rep, ring)
     for c in center:
         scalar = int(c[0, 0])
         assert np.array_equal(c % d, (scalar * np.eye(dim, dtype=np.int64)) % d)

@@ -15,8 +15,8 @@ from chevlab.subgroups import BoundExceeded, EnumeratedSubgroup
 
 
 class ByteKeySubgroup(EnumeratedSubgroup):
-    def __init__(self, rep, ring, generators):
-        super().__init__(rep, ring, generators)
+    def __init__(self, rep, ring):
+        super().__init__(rep, ring)
         self._keys: dict[bytes, int] = {}
 
     @property

@@ -1,7 +1,12 @@
+import argparse
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +19,7 @@ def test_empty_campaign(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"seed": 1, "tasks": []}))
     out = tmp_path / "r.json"
-    assert main(["campaign", "run", str(path), "--output", str(out)]) == 0
+    assert main(["campaign", "run", str(path), "--report", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["tasks"] == [] and report["exit_code"] == 0
 
@@ -50,7 +55,7 @@ def test_validate_task_rejects_g2_bruteforce():
 
 
 def test_unknown_case_is_a_usage_error(capsys):
-    assert main(["verify", "main-lemma", "--case", "G2", "--symbolic"]) == 2
+    assert main(["verify", "main-lemma", "--case", "G2"]) == 2
     assert "case='G2'" in capsys.readouterr().err
 
 
@@ -88,7 +93,7 @@ def test_dump_generators_shape(tmp_path):
 
 def test_factorize_main_lemma_cli(tmp_path):
     out = tmp_path / "r.json"
-    assert main(["factorize", "main-lemma", "--case", "A2", "--symbolic", "--report", str(out)]) == 0
+    assert main(["factorize", "main-lemma", "--case", "A2", "--report", str(out)]) == 0
     result = json.loads(out.read_text())["tasks"][0]["result"]
     assert result["verdict"] is True
     assert result["factors"]
@@ -393,6 +398,67 @@ def test_every_command_declares_its_params():
     assert set(PARAMS) == set(TASKS)
 
 
+def _subcommands() -> dict:
+    """The argv prefix and parser of every leaf subcommand of
+    ``build_parser()``, by the prefix joined with "-"."""
+    found = {}
+
+    def walk(parser, prefix):
+        children = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for action in children:
+            for name, child in action.choices.items():
+                walk(child, prefix + [name])
+        if not children:
+            found["-".join(prefix)] = (prefix, parser)
+
+    walk(build_parser(), [])
+    return found
+
+
+def _options(parser) -> dict:
+    return {a.dest: a.required for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+def test_options_are_the_declared_params():
+    # verify main-lemma lacked --ideal; --symbolic and campaign run --output
+    # were declared nowhere else
+    found = _subcommands()
+    common = {"seed": False, "report": False, "timings": False}
+    assert _options(found.pop("campaign-run")[1]) == common
+    assert set(found) == set(PARAMS)
+    for command, (_, parser) in found.items():
+        required, optional = PARAMS[command]
+        assert _options(parser) == common | {key: key in required for key in (*required, *optional)}
+
+
+@pytest.mark.parametrize("argv", [prefix for prefix, _ in _subcommands().values()])
+def test_every_subcommand_has_help(argv):
+    done = subprocess.run(
+        [sys.executable, "-m", "chevlab.cli", *argv, "--help"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert done.returncode == 0 and done.stdout.startswith("usage: chevlab " + " ".join(argv))
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "main-lemma", "--case", "A2", "--symbolic"], "--symbolic"),
+        (["verify", "long-root", "--type", "G2", "--symbolic"], "--symbolic"),
+        (["factorize", "main-lemma", "--case", "A2", "--symbolic"], "--symbolic"),
+        (["campaign", "run", "c.json", "--output", "r.json"], "--output"),
+    ],
+)
+def test_removed_flags_are_usage_errors(argv, flag, capsys):
+    # a task runs symbolically when it is given no ring, and a campaign
+    # writes its report to --report
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 # The task each subcommand's argv becomes, argparse defaults included
 # (CLI reports echo them); the campaign seed is not a task parameter.
 @pytest.mark.parametrize(
@@ -402,20 +468,22 @@ def test_every_command_declares_its_params():
         (["verify", "chevalley", "--type", "G2", "--seed", "3"], "verify-chevalley", {"type": "G2"}),
         (["verify", "main-lemma", "--case", "A2", "--ring", "Z/8", "--ideal-i", "2", "--ideal-j", "4"],
          "verify-main-lemma", {"case": "A2", "ring": "Z/8", "ideal_i": "2", "ideal_j": "4"}),
-        (["verify", "main-lemma", "--case", "C2Short", "--symbolic", "--ring", "Z/8"],
-         "verify-main-lemma", {"case": "C2Short"}),
+        (["verify", "main-lemma", "--case", "C2Short"], "verify-main-lemma", {"case": "C2Short"}),
         (["verify", "long-root", "--type", "C2", "--ring", "Z/27", "--ideal", "3"],
          "verify-long-root", {"type": "C2", "ring": "Z/27", "ideal": "3"}),
-        (["verify", "long-root", "--type", "G2", "--symbolic"], "verify-long-root", {"type": "G2"}),
+        (["verify", "long-root", "--type", "G2"], "verify-long-root", {"type": "G2"}),
         (["verify", "levi", "--type", "A2", "--ring", "Z/8", "--ideal-i", "2", "--ideal-j", "2"],
          "verify-levi", {"type": "A2", "ring": "Z/8", "ideal_i": "2", "ideal_j": "2", "samples": 1000}),
         (["bruteforce", "--stmt", "O1", "--type", "A2", "--ring", "Z/8", "--ideal-i", "2"],
          "bruteforce", {"stmt": "O1", "type": "A2", "ring": "Z/8", "ideal_i": "2", "bound": 1000000}),
         (["dump-constants", "--type", "C2"], "dump-constants", {"type": "C2"}),
         (["dump-generators", "--type", "A2", "--ring", "Z/8"], "dump-generators", {"type": "A2", "ring": "Z/8"}),
-        (["factorize", "main-lemma", "--case", "G2Short", "--symbolic"], "factorize-main-lemma", {"case": "G2Short"}),
+        (["factorize", "main-lemma", "--case", "G2Short"], "factorize-main-lemma", {"case": "G2Short"}),
         (["factorize", "long-root", "--type", "C2", "--ring", "Z/9", "--ideal", "3"],
          "factorize-long-root", {"type": "C2", "ring": "Z/9", "ideal": "3"}),
+        # PARAMS lets the finite main lemma read one ideal for I and J
+        (["verify", "main-lemma", "--case", "A2", "--ring", "Z/8", "--ideal", "2"],
+         "verify-main-lemma", {"case": "A2", "ring": "Z/8", "ideal": "2"}),
     ],
 )
 def test_argv_maps_to_task(argv, command, params):
@@ -454,6 +522,9 @@ def test_argv_maps_to_task(argv, command, params):
         # ended as a BoundExceeded error result, after the tasks ahead of it ran
         ("bruteforce", {"stmt": "T1", "type": "A2", "ring": "Z/8", "ideal_i": "2", "bound": 0},
          "bruteforce needs an integer bound >= 1, got 0"),
+        # an IndexError from the parser, which validation let through
+        ("bruteforce", {"stmt": "T1", "type": "A2", "ring": "Z/8", "ideal_i": "2^"},
+         "bruteforce: invalid parameter ideal_i='2^'"),
     ],
 )
 def test_malformed_values_refused(command, params, message, tmp_path, capsys):
@@ -463,7 +534,7 @@ def test_malformed_values_refused(command, params, message, tmp_path, capsys):
     path.write_text(json.dumps({"tasks": [{"command": "verify-chevalley", "params": {"type": "A2"}},
                                           {"command": command, "params": params}]}))
     out = tmp_path / "r.json"
-    assert main(["campaign", "run", str(path), "--output", str(out)]) == 2
+    assert main(["campaign", "run", str(path), "--report", str(out)]) == 2
     assert not out.exists()
     assert message in capsys.readouterr().err
 

@@ -84,7 +84,7 @@ def test_non_invertible_refused_with_what():
         with pytest.raises(EnumerationError, match="non-invertible matrix in conjugator batch"):
             _batch_inverse(stack, 6, "conjugator batch")
         with pytest.raises(EnumerationError, match="non-invertible matrix in generator batch"):
-            EnumeratedSubgroup(A2, Ring.mod(6), []).close_over(stack, bound=10**6)
+            EnumeratedSubgroup(A2, Ring.mod(6)).close_over(stack, bound=10**6)
 
 
 @settings(max_examples=120, deadline=None)

@@ -114,6 +114,10 @@ def test_congruence_level():
     ideal = Ideal.of(Z8, [2])
     assert congruence_level_test(rep.x(root, Z8.element(4)), ideal)
     assert not congruence_level_test(rep.x(root, Z8.element(1)), ideal)
+    # only 0 is in the zero ideal of Z/8
+    zero = Ideal.of(Z8, [0])
+    assert not congruence_level_test(rep.x(root, Z8.element(4)), zero)
+    assert congruence_level_test(rep.identity(Z8), zero)
 
 
 def test_congruence_level_subgroup_property():

@@ -1,14 +1,19 @@
+import functools
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chevlab.rings import (
+    MAX_EXPONENT,
+    DegreeOverflow,
     Ideal,
     InfiniteRing,
     MixedRings,
     ParseError,
     Ring,
+    RingElement,
     UnsupportedIdealShape,
     element_to_string,
     enumerate_elements,
@@ -237,3 +242,50 @@ def test_ideal_parsing():
     ideal = parse_ideal(parse_ring("Z/9[t]"), "3,t")
     assert len(ideal.gens) == 2
 
+
+
+@pytest.mark.parametrize("text", ["2^", "(3+2^", "2*"])
+def test_truncated_expression_is_a_parse_error(text):
+    # "2^" ended in an IndexError, which validation let through
+    with pytest.raises(ParseError, match="unexpected end"):
+        parse_element(Z8, text)
+
+
+def test_huge_exponent_parses_quickly():
+    # the power was a loop of k - 1 products: 3^999999999 did not finish
+    start = time.perf_counter()
+    assert parse_element(Z8, "3^999999999999") == Z8.element(pow(3, 999999999999, 8))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        Ring.integers().element(-3),
+        Z9.element(5),
+        parse_element(Ring.polynomial(Z9, ("a", "b")), "a+2*b+1"),
+    ],
+)
+def test_power_is_the_repeated_product(e):
+    for k in range(12):
+        assert e ** k == functools.reduce(lambda acc, _: acc * e, range(k), e.ring.one)
+
+
+def test_power_up_to_the_largest_exponent():
+    ring = Ring.polynomial(Ring.integers(), ("xi",))
+    (xi,) = ring.vars()
+    assert xi ** MAX_EXPONENT == ring.term(1, (MAX_EXPONENT,))
+    with pytest.raises(DegreeOverflow):
+        xi ** (MAX_EXPONENT + 1)
+
+
+def test_small_powers_take_k_minus_one_products(monkeypatch):
+    # the symbolic path raises to k <= 3: one product for k = 2, two for 3
+    products = []
+    mul = RingElement.__mul__
+    monkeypatch.setattr(RingElement, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    xi, zeta, _ = PZ.vars()
+    for k, count in [(0, 0), (1, 0), (2, 1), (3, 2)]:
+        products.clear()
+        (xi + zeta) ** k
+        assert len(products) == count

@@ -151,7 +151,7 @@ def test_normal_closure_plain_when_no_conjugators():
     ideal = Ideal.of(Z4, [2])
     words = elementary_level_words("A2", ideal)
     plain = closure(words, A2, Z4)
-    normal = _normal_closure(A2, Z4, words, _word_matrices(words, A2, Z4), 10**6)
+    normal = _normal_closure(A2, Z4, _word_matrices(words, A2, Z4), 10**6)
     assert plain.same_elements(normal)
 
 
@@ -163,7 +163,7 @@ def test_relative_subgroup_equals_normal_closure():
 
     seed = _word_matrices(elementary_level_words("A2", ideal), A2, Z8)
     conj = _word_matrices(absolute_elementary_words("A2", Z8), A2, Z8)
-    normal = _normal_closure(A2, Z8, [], seed, 10**6, conj, _batch_inverse(conj, 8))
+    normal = _normal_closure(A2, Z8, seed, 10**6, conj, _batch_inverse(conj, 8))
     assert rel.same_elements(normal)
 
 
@@ -243,7 +243,7 @@ def test_commutator_with_enumerated_set_matches_all_pairs():
         comm = g @ k.stack % 4 @ g_inv % 4 @ k_inv % 4
         codes.update(np.unique(comm.reshape(-1, 9) @ weights).tolist())
     digits = np.array(sorted(codes))[:, None] // weights % 4
-    oracle = EnumeratedSubgroup(A2, Z4, [])
+    oracle = EnumeratedSubgroup(A2, Z4)
     oracle.close_over(digits.reshape(-1, 3, 3), bound=10**6)
     merged = commutator_subgroup(h_words, k.stack, A2, Z4)
     assert merged.cardinality == oracle.cardinality == 256
@@ -478,7 +478,7 @@ def test_lifted_congruence_audit_refuses_corruption(monkeypatch, central, corrup
 def test_audit_direct_refuses_a_set_not_closed():
     # G(Z/4, (2)) of C2 with its last listed element dropped
     kernel = enumerate_congruence_subgroup(C2, Z4, Ideal.of(Z4, [2]))
-    partial = EnumeratedSubgroup(C2, Z4, [])
+    partial = EnumeratedSubgroup(C2, Z4)
     partial._add_batch(kernel.stack[:-1], 10**6)
     partial._min_gens = list(kernel.generator_stack())
     with pytest.raises(EnumerationError, match="closure check failed"):
@@ -612,7 +612,7 @@ def test_sorted_codes_match_byte_key_oracle(script):
     ring = Ring.mod(n)
 
     def build(cls, picks, bound):
-        sub, added = cls(rep, ring, []), []
+        sub, added = cls(rep, ring), []
         for idx in picks:
             added.append(sub._add_batch(pool[np.array(idx, dtype=np.intp)], bound))
         return sub, added
@@ -651,7 +651,7 @@ def test_closure_order_matches_byte_key_oracle(rep, n, d, size):
     # E(R, (d)) keyed by one word (Z/8) and by byte strings (Z/243, Z/27)
     ring = Ring.mod(n)
     gens = _word_matrices(elementary_level_words(rep.name, Ideal.of(ring, [d])), rep, ring)
-    fast, slow = EnumeratedSubgroup(rep, ring, []), ByteKeySubgroup(rep, ring, [])
+    fast, slow = EnumeratedSubgroup(rep, ring), ByteKeySubgroup(rep, ring)
     for sub in (fast, slow):
         sub.close_over(gens, bound=10**6)
     assert fast.cardinality == slow.cardinality == size
@@ -682,7 +682,7 @@ def test_close_over_refuses_non_invertible_generators():
     singular = ident.copy()
     singular[0, 0] = 2
     for bad in (singular, 2 * ident):
-        sub = EnumeratedSubgroup(A2, Z4, [])
+        sub = EnumeratedSubgroup(A2, Z4)
         with pytest.raises(EnumerationError, match="non-invertible matrix"):
             sub.close_over(np.stack([unit, bad]), bound=10**6)
 
@@ -720,7 +720,7 @@ def test_generators_only_bfs_matches_closure_with_inverses(rep, n, d, seed):
         pool[rng.choice(len(pool), size=2 + seed % 2, replace=False)],
         _word_matrices([x_word(root, ring.element(n // 4))], rep, ring),
     ])
-    sub = EnumeratedSubgroup(rep, ring, [])
+    sub = EnumeratedSubgroup(rep, ring)
     sub.close_over(gens, bound=10**6)
     weights = n ** np.arange(gens.shape[1] ** 2, dtype=np.int64)
     codes = (sub.stack.reshape(len(sub.stack), -1) @ weights).tolist()
